@@ -5,8 +5,8 @@
 //! loadgen [--addr HOST:PORT] [--requests N] [--clients C] [--structures S]
 //!         [--plans P] [--reads N] [--seed S] [--small]
 //!         [--keep-alive] [--pipeline N] [--retry N]
-//!         [--mixed-sizes] [--tenants T]
-//!         [--chaos-seed N] [--chaos-panic-rate F] [--chaos-kill-rate F]
+//!         [--mixed-sizes]
+//!         [--chaos-seed N] [--chaos-panic-rate F]
 //!         [--chaos-backend-failure-rate F] [--chaos-corruption-rate F]
 //!         [--chaos-conn-abort-rate F] [--chaos-slow-rate F]
 //!         [--breaker-threshold N] [--breaker-open-ms N]
@@ -18,7 +18,7 @@
 //! measurably lower latency than the cold (embedding) requests.
 //!
 //! Chaos mode (ISSUE-5): the server-side `--chaos-*` rates inject worker
-//! panics/deaths and backend failures (self-host only — against `--addr`
+//! panics and backend failures (self-host only — against `--addr`
 //! pass the same flags to `mqo_serve` itself); the client-side
 //! `--chaos-conn-abort-rate` and `--chaos-slow-rate` abort or trickle a
 //! deterministic subset of connections. All schedules are keyed on the
@@ -27,14 +27,9 @@
 //! any `--clients` count. Under chaos the run asserts a clean drain:
 //! every request ends as a solve, a typed error, or a deliberate abort.
 //!
-//! Packing mode (ISSUE-8): `--mixed-sizes` cycles the structures through
+//! Mixed sizes (ISSUE-8): `--mixed-sizes` cycles the structures through
 //! the paper's plan classes 2–5 (at one or two queries each) so request
-//! footprints vary from one Chimera cell to several; `--tenants T`
-//! self-hosts with chip packing enabled and up to `T` tenants per
-//! programming cycle. The report gains a `packing` section — packed
-//! batches, tenants packed, placer declines, and occupancy in tenants per
-//! cycle — and a clean self-hosted run with a backlog asserts occupancy
-//! exceeded 1.0.
+//! footprints vary from one Chimera cell to several.
 //!
 //! Keep-alive mode (ISSUE-9): `--keep-alive` gives every client thread one
 //! persistent HTTP/1.1 connection for its whole request stream, and
@@ -92,7 +87,6 @@ struct Options {
     pipeline: usize,
     retry: u32,
     mixed_sizes: bool,
-    tenants: usize,
     chaos: ChaosConfig,
     conn_abort_rate: f64,
     slow_rate: f64,
@@ -115,7 +109,6 @@ impl Default for Options {
             pipeline: 1,
             retry: 0,
             mixed_sizes: false,
-            tenants: 0,
             chaos: ChaosConfig::NONE,
             conn_abort_rate: 0.0,
             slow_rate: 0.0,
@@ -166,14 +159,10 @@ fn parse_options() -> Options {
             }
             "--retry" => opts.retry = num(value("--retry"), "--retry"),
             "--mixed-sizes" => opts.mixed_sizes = true,
-            "--tenants" => opts.tenants = num(value("--tenants"), "--tenants"),
             "--chaos-seed" => opts.chaos.seed = num(value("--chaos-seed"), "--chaos-seed"),
             "--chaos-panic-rate" => {
                 opts.chaos.worker_panic_rate =
                     num(value("--chaos-panic-rate"), "--chaos-panic-rate")
-            }
-            "--chaos-kill-rate" => {
-                opts.chaos.worker_kill_rate = num(value("--chaos-kill-rate"), "--chaos-kill-rate")
             }
             "--chaos-backend-failure-rate" => {
                 opts.chaos.backend_failure_rate = num(
@@ -214,10 +203,8 @@ fn parse_options() -> Options {
                      --pipeline N      pipeline N requests per write (implies --keep-alive)\n\
                      --retry N         client-side replays per shed/failed request (0)\n\
                      --mixed-sizes     cycle structures through paper classes 2-5 plans\n\
-                     --tenants T       self-host with chip packing, up to T tenants/cycle (0 = off)\n\
                      --chaos-seed N    seed of all chaos streams (0)\n\
                      --chaos-panic-rate F    server: worker panic probability (0, self-host)\n\
-                     --chaos-kill-rate F     server: worker death probability (0, self-host)\n\
                      --chaos-backend-failure-rate F  server: backend failure probability (0)\n\
                      --chaos-corruption-rate F  server: answer corruption probability (0)\n\
                      --chaos-conn-abort-rate F  client: abort connection mid-request (0)\n\
@@ -465,7 +452,7 @@ fn main() {
     // the cache sees `structures` different keys, each repeated
     // `requests / structures` times. With `--mixed-sizes` the structures
     // additionally cycle through the paper's plan classes 2–5 at one or two
-    // queries each — the size mix the chip-packing placer sees in practice.
+    // queries each, so request footprints vary from one cell to several.
     let mut problems = Vec::new();
     for s in 0..opts.structures {
         let cfg = if opts.mixed_sizes {
@@ -505,32 +492,13 @@ fn main() {
     let (server, addr): (Option<Server>, SocketAddr) = match &opts.addr {
         Some(a) => (None, a.parse().unwrap_or_else(|e| fail(e))),
         None => {
-            // With packing, host on a chip large enough to co-locate
-            // several mixed-size tenants even when structures were
-            // generated against the small graph.
-            let host_graph = if opts.tenants > 0 && opts.small {
-                ChimeraGraph::new(4, 4)
-            } else {
-                graph.clone()
-            };
-            let mut engine = EngineConfig::new(host_graph);
+            let mut engine = EngineConfig::new(graph.clone());
             engine.chaos = opts.chaos;
             engine.breaker.failure_threshold = opts.breaker_threshold;
             engine.breaker.open_ms = opts.breaker_open_ms;
-            if opts.tenants > 0 {
-                engine.packing = true;
-                engine.packing_max_tenants = opts.tenants.max(2);
-            }
             let mut config = ServerConfig::new(engine);
             config.addr = "127.0.0.1:0".to_string();
-            if opts.tenants > 0 {
-                // Few workers over a deep claim window: backlogs form while
-                // a cycle runs, so the next claim packs several tenants.
-                config.queue.workers = 2;
-                config.queue.batch_size = config.queue.batch_size.max(opts.tenants);
-            } else {
-                config.queue.workers = opts.clients.max(2);
-            }
+            config.queue.workers = opts.clients.max(2);
             let server = Server::start(config).unwrap_or_else(|e| fail(e));
             let addr = server.local_addr();
             (Some(server), addr)
@@ -706,20 +674,6 @@ fn main() {
         ));
     }
 
-    // Overall occupancy: solved tenants per programming cycle across the
-    // whole run. Solo solves are one-tenant cycles, so without packing this
-    // is exactly 1.0; packed batches push it above 1.0.
-    let svc_count = |key: &str| metrics["service"][key].as_u64().unwrap_or(0);
-    let solved_srv = svc_count("solved_total");
-    let packed_batches = svc_count("packed_batches");
-    let tenants_packed = svc_count("tenants_packed");
-    let cycles = packed_batches + solved_srv.saturating_sub(tenants_packed);
-    let occupancy = if cycles == 0 {
-        0.0
-    } else {
-        solved_srv as f64 / cycles as f64
-    };
-
     let errors_value = serde_json::Value::Object(
         errors_by_status
             .iter()
@@ -775,13 +729,6 @@ fn main() {
             "rejects": metrics["service"]["integrity_rejects"].clone(),
             "corruptions_injected": metrics["service"]["chaos_corruptions_injected"].clone(),
         }),
-        "packing": serde_json::json!({
-            "packed_batches": metrics["service"]["packed_batches"].clone(),
-            "tenants_packed": metrics["service"]["tenants_packed"].clone(),
-            "packing_declines": metrics["service"]["packing_declines"].clone(),
-            "tenants_per_cycle": metrics["service"]["tenants_per_cycle"].clone(),
-            "occupancy_tenants_per_cycle": occupancy,
-        }),
         "chains": serde_json::json!({
             "reads_broken": metrics["service"]["reads_broken_chains"].clone(),
             "majority_repairs": metrics["service"]["chain_majority_repairs"].clone(),
@@ -836,21 +783,5 @@ fn main() {
     // capacity-starved cache): repeated structures must be hits.
     if opts.addr.is_none() && !chaos_active && outcomes.len() > opts.structures && hits.is_empty() {
         fail("no cache hits despite repeated structures");
-    }
-
-    // The packing acceptance signal (self-host, clean runs with a
-    // meaningful backlog): at least one programming cycle must have carried
-    // multiple tenants, i.e. occupancy exceeds one tenant per cycle.
-    if opts.addr.is_none()
-        && opts.tenants > 0
-        && !chaos_active
-        && opts.clients >= 2
-        && opts.requests >= 8 * opts.clients
-        && occupancy <= 1.0
-    {
-        fail(format!(
-            "packing never engaged: occupancy {occupancy:.3} tenants/cycle \
-             ({packed_batches} packed batches over {solved_srv} solves)"
-        ));
     }
 }

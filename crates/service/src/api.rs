@@ -92,10 +92,6 @@ pub struct SolveResponse {
     pub wall_us: u64,
     /// Wall-clock time the request waited in the queue, microseconds.
     pub queue_wait_us: u64,
-    /// Tenants in the composite programming cycle this answer came from
-    /// (0 = solved solo, ≥ 2 = packed; see DESIGN.md §12).
-    #[serde(default)]
-    pub packed_tenants: usize,
 }
 
 /// Typed rejection: every way the service refuses a request without
@@ -128,9 +124,8 @@ pub enum Reject {
         detail: String,
     },
     /// A worker panicked while solving the request. The panic was isolated
-    /// (`catch_unwind`): the rest of the batch is unaffected and, when the
-    /// panic escalates into a worker death, the supervisor respawns the
-    /// thread.
+    /// (`catch_unwind`): the worker and the rest of its batch are
+    /// unaffected.
     InternalError {
         /// Panic payload (or a placeholder for non-string payloads).
         detail: String,

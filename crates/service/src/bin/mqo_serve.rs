@@ -8,17 +8,17 @@
 //!           [--max-connections N] [--request-deadline-ms N]
 //!           [--io-timeout-ms N] [--accept-shards N] [--max-pipeline N]
 //!           [--breaker-threshold N] [--breaker-open-ms N]
-//!           [--chaos-seed N] [--chaos-panic-rate F] [--chaos-kill-rate F]
+//!           [--chaos-seed N] [--chaos-panic-rate F]
 //!           [--chaos-backend-failure-rate F] [--chaos-corruption-rate F]
 //!           [--no-integrity-repair] [--no-verify-gate]
-//!           [--packing] [--max-tenants N]
 //! ```
 //!
 //! Binds, prints `listening on <addr>` (scripts parse that line), then
 //! serves until `POST /shutdown` arrives; shutdown drains the queue before
 //! the process exits. The `--chaos-*` flags inject deterministic faults
-//! (worker panics/deaths, backend failures) for resilience testing; all
-//! rates default to zero, which is bit-identical to a chaos-free build.
+//! (worker panics, backend failures, answer corruption) for resilience
+//! testing; all rates default to zero, which is bit-identical to a
+//! chaos-free build.
 
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::chaos::ChaosConfig;
@@ -52,8 +52,6 @@ struct Options {
     chaos: ChaosConfig,
     integrity_repair: bool,
     verify_gate: bool,
-    packing: bool,
-    max_tenants: usize,
 }
 
 impl Default for Options {
@@ -83,8 +81,6 @@ impl Default for Options {
             chaos: ChaosConfig::NONE,
             integrity_repair: true,
             verify_gate: true,
-            packing: false,
-            max_tenants: 16,
         }
     }
 }
@@ -141,10 +137,6 @@ fn parse_options() -> Result<Options, String> {
                 opts.chaos.worker_panic_rate =
                     parse(&value("--chaos-panic-rate")?, "--chaos-panic-rate")?
             }
-            "--chaos-kill-rate" => {
-                opts.chaos.worker_kill_rate =
-                    parse(&value("--chaos-kill-rate")?, "--chaos-kill-rate")?
-            }
             "--chaos-backend-failure-rate" => {
                 opts.chaos.backend_failure_rate = parse(
                     &value("--chaos-backend-failure-rate")?,
@@ -157,8 +149,6 @@ fn parse_options() -> Result<Options, String> {
                     "--chaos-corruption-rate",
                 )?
             }
-            "--packing" => opts.packing = true,
-            "--max-tenants" => opts.max_tenants = parse(&value("--max-tenants")?, "--max-tenants")?,
             "--no-integrity-repair" => opts.integrity_repair = false,
             "--no-verify-gate" => opts.verify_gate = false,
             "--help" | "-h" => {
@@ -187,11 +177,8 @@ fn parse_options() -> Result<Options, String> {
                      --breaker-open-ms N    breaker cooling period (1000)\n\
                      --chaos-seed N      seed of the chaos streams (0)\n\
                      --chaos-panic-rate F   per-request worker panic probability (0)\n\
-                     --chaos-kill-rate F    caught-panic worker death probability (0)\n\
                      --chaos-backend-failure-rate F  per-attempt backend failure probability (0)\n\
                      --chaos-corruption-rate F  per-request answer corruption probability (0)\n\
-                     --packing           pack small requests onto disjoint chip regions per cycle\n\
-                     --max-tenants N     tenants per packed cycle cap (16)\n\
                      --no-integrity-repair  reject gate failures with a typed 500 instead of repairing\n\
                      --no-verify-gate    disable answer re-validation (bench escape hatch)"
                 );
@@ -247,8 +234,6 @@ fn main() {
     engine.verify_gate = opts.verify_gate;
     engine.breaker.failure_threshold = opts.breaker_threshold;
     engine.breaker.open_ms = opts.breaker_open_ms;
-    engine.packing = opts.packing;
-    engine.packing_max_tenants = opts.max_tenants.max(2);
 
     let mut config = ServerConfig::new(engine);
     config.addr = opts.addr;

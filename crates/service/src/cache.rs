@@ -10,15 +10,18 @@
 //! Keys pair the canonical structure hash of the logical QUBO
 //! (`Qubo::structure_hash`) with the topology fingerprint of the device
 //! graph (`ChimeraGraph::fingerprint`): an embedding is only valid for the
-//! exact graph it was routed on. The cache is a bounded LRU with hit, miss,
-//! and eviction counters; all access is through one mutex (lookups are
-//! nanoseconds against solves that are milliseconds).
+//! exact graph it was routed on.
+//!
+//! The cache is a bounded LRU ([`Lru`]) with hit, miss, and eviction
+//! counters; all access is through one mutex (lookups are nanoseconds
+//! against solves that are milliseconds). The same type backs the
+//! router's response cache (canonical request bytes → response body).
 
-use mqo_chimera::embedding::Embedding;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Cache key: problem structure × device topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -29,12 +32,12 @@ pub struct CacheKey {
     pub graph: u64,
 }
 
-/// Counter snapshot of an [`EmbeddingCache`].
+/// Counter snapshot of an [`Lru`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups that found a reusable embedding.
+    /// Lookups that found a cached value.
     pub hits: u64,
-    /// Lookups that required a fresh placement.
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
@@ -47,27 +50,27 @@ pub struct CacheStats {
     pub poison_invalidations: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Key → (embedding, recency stamp of the last touch).
-    map: HashMap<CacheKey, (Arc<Embedding>, u64)>,
+#[derive(Debug)]
+struct LruInner<K, V> {
+    /// Key → (value, recency stamp of the last touch).
+    map: HashMap<K, (V, u64)>,
     /// Recency stamp → key, oldest first; kept in lockstep with `map`.
-    recency: BTreeMap<u64, CacheKey>,
+    recency: BTreeMap<u64, K>,
     /// Monotonic touch counter.
     tick: u64,
 }
 
-/// A bounded LRU cache of minor embeddings.
+/// A bounded, thread-safe LRU cache.
 ///
 /// Counters are lock-free atomics (read by `/metrics` without touching the
 /// map lock); the map lock itself is poison-recovering: if a panicking
 /// holder poisons it, the next acquirer drops every entry (the `map` ↔
 /// `recency` lockstep cannot be trusted after an interrupted update) and
-/// carries on — an embedding cache may always be cold, it must never take
-/// the service down.
+/// carries on — a cache may always be cold, it must never take the service
+/// down.
 #[derive(Debug)]
-pub struct EmbeddingCache {
-    inner: Mutex<CacheInner>,
+pub struct Lru<K, V> {
+    inner: Mutex<LruInner<K, V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -75,12 +78,16 @@ pub struct EmbeddingCache {
     poison_invalidations: AtomicU64,
 }
 
-impl EmbeddingCache {
+impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
     /// Creates a cache bounded to `capacity` entries (`capacity = 0`
     /// disables caching: every lookup misses, inserts are dropped).
     pub fn new(capacity: usize) -> Self {
-        EmbeddingCache {
-            inner: Mutex::new(CacheInner::default()),
+        Lru {
+            inner: Mutex::new(LruInner {
+                map: HashMap::new(),
+                recency: BTreeMap::new(),
+                tick: 0,
+            }),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -89,10 +96,15 @@ impl EmbeddingCache {
         }
     }
 
+    /// The configured bound.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Acquires the map lock; a poisoned guard is recovered by invalidating
     /// the whole cache. The dropped entries are not LRU evictions (nothing
     /// displaced them), so they land in their own counter.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+    fn lock(&self) -> MutexGuard<'_, LruInner<K, V>> {
         match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -107,20 +119,20 @@ impl EmbeddingCache {
         }
     }
 
-    /// Looks up an embedding, bumping its recency. Counts a hit or a miss.
-    pub fn get(&self, key: CacheKey) -> Option<Arc<Embedding>> {
+    /// Looks up a value, bumping its recency. Counts a hit or a miss.
+    pub fn get(&self, key: &K) -> Option<V> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some((embedding, stamp)) => {
+        match inner.map.get_mut(key) {
+            Some((value, stamp)) => {
                 let old = std::mem::replace(stamp, tick);
-                let embedding = Arc::clone(embedding);
+                let value = value.clone();
                 inner.recency.remove(&old);
-                inner.recency.insert(tick, key);
+                inner.recency.insert(tick, key.clone());
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(embedding)
+                Some(value)
             }
             None => {
                 drop(inner);
@@ -130,16 +142,16 @@ impl EmbeddingCache {
         }
     }
 
-    /// Inserts (or refreshes) an embedding, evicting the least recently
-    /// used entry when the bound is exceeded.
-    pub fn insert(&self, key: CacheKey, embedding: Arc<Embedding>) {
+    /// Inserts (or refreshes) a value, evicting the least recently used
+    /// entry when the bound is exceeded.
+    pub fn insert(&self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some((_, old)) = inner.map.insert(key, (embedding, tick)) {
+        if let Some((_, old)) = inner.map.insert(key.clone(), (value, tick)) {
             inner.recency.remove(&old);
         }
         inner.recency.insert(tick, key);
@@ -148,10 +160,9 @@ impl EmbeddingCache {
             // `recency` tracks every entry; if the lockstep ever broke (it
             // cannot after poison recovery — recovery clears both), stop
             // evicting rather than looping forever.
-            let Some((&oldest, &victim)) = inner.recency.iter().next() else {
+            let Some((_, victim)) = inner.recency.pop_first() else {
                 break;
             };
-            inner.recency.remove(&oldest);
             inner.map.remove(&victim);
             evicted += 1;
         }
@@ -178,89 +189,138 @@ impl EmbeddingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqo_chimera::embedding::Embedding;
     use mqo_chimera::graph::ChimeraGraph;
+    use std::fmt::Debug;
+    use std::sync::Arc;
 
-    fn embedding(n: usize) -> Arc<Embedding> {
-        use mqo_chimera::embedding::triad;
-        let g = ChimeraGraph::new(2, 2);
-        Arc::new(triad::triad(&g, 0, 0, n).unwrap())
+    /// One instantiation of [`Lru`] the service uses: how test keys and
+    /// values are made for it. The LRU tests run against each one.
+    trait Fixture {
+        type K: Clone + Eq + Hash + Debug + Send + 'static;
+        type V: Clone + PartialEq + Debug + Send + 'static;
+        fn key(i: u64) -> Self::K;
+        fn value(n: usize) -> Self::V;
     }
 
-    fn key(structure: u64) -> CacheKey {
-        CacheKey {
-            structure,
-            graph: 1,
+    /// The engine's embedding cache.
+    struct Embeddings;
+
+    impl Fixture for Embeddings {
+        type K = CacheKey;
+        type V = Arc<Embedding>;
+        fn key(structure: u64) -> CacheKey {
+            CacheKey {
+                structure,
+                graph: 1,
+            }
+        }
+        fn value(n: usize) -> Arc<Embedding> {
+            use mqo_chimera::embedding::triad;
+            let g = ChimeraGraph::new(2, 2);
+            Arc::new(triad::triad(&g, 0, 0, n).unwrap())
+        }
+    }
+
+    /// The router's response cache.
+    struct Responses;
+
+    impl Fixture for Responses {
+        type K = Vec<u8>;
+        type V = String;
+        fn key(i: u64) -> Vec<u8> {
+            format!("{{\"seed\":{i}}}").into_bytes()
+        }
+        fn value(n: usize) -> String {
+            format!("{{\"cost\":{n}}}")
         }
     }
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let cache = EmbeddingCache::new(4);
-        assert!(cache.get(key(1)).is_none());
-        cache.insert(key(1), embedding(2));
-        let e = cache.get(key(1)).expect("inserted entry is found");
-        assert_eq!(e.num_vars(), 2);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 1, 0, 1));
+        fn check<F: Fixture>() {
+            let cache = Lru::<F::K, F::V>::new(4);
+            assert!(cache.get(&F::key(1)).is_none());
+            cache.insert(F::key(1), F::value(2));
+            let v = cache.get(&F::key(1)).expect("inserted entry is found");
+            assert_eq!(v, F::value(2));
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 1, 0, 1));
+        }
+        check::<Embeddings>();
+        check::<Responses>();
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let cache = EmbeddingCache::new(2);
-        cache.insert(key(1), embedding(2));
-        cache.insert(key(2), embedding(3));
-        // Touch key 1 so key 2 becomes the LRU victim.
-        assert!(cache.get(key(1)).is_some());
-        cache.insert(key(3), embedding(4));
-        assert!(cache.get(key(2)).is_none(), "LRU entry was evicted");
-        assert!(cache.get(key(1)).is_some());
-        assert!(cache.get(key(3)).is_some());
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.len, 2);
+        fn check<F: Fixture>() {
+            let cache = Lru::<F::K, F::V>::new(2);
+            cache.insert(F::key(1), F::value(2));
+            cache.insert(F::key(2), F::value(3));
+            // Touch key 1 so key 2 becomes the LRU victim.
+            assert!(cache.get(&F::key(1)).is_some());
+            cache.insert(F::key(3), F::value(4));
+            assert!(cache.get(&F::key(2)).is_none(), "LRU entry was evicted");
+            assert_eq!(cache.get(&F::key(1)), Some(F::value(2)));
+            assert_eq!(cache.get(&F::key(3)), Some(F::value(4)));
+            let s = cache.stats();
+            assert_eq!(s.evictions, 1);
+            assert_eq!(s.len, 2);
+        }
+        check::<Embeddings>();
+        check::<Responses>();
     }
 
     #[test]
     fn capacity_bound_is_never_exceeded() {
-        let cache = EmbeddingCache::new(3);
-        for i in 0..50 {
-            cache.insert(key(i), embedding(2));
-            assert!(cache.stats().len <= 3);
+        fn check<F: Fixture>() {
+            let cache = Lru::<F::K, F::V>::new(3);
+            for i in 0..50 {
+                cache.insert(F::key(i), F::value(2));
+                assert!(cache.stats().len <= 3);
+            }
+            let s = cache.stats();
+            assert_eq!(s.len, 3);
+            assert_eq!(s.evictions, 47);
+            // The three most recent keys survive.
+            for i in 47..50 {
+                assert!(cache.get(&F::key(i)).is_some(), "key {i} should be cached");
+            }
         }
-        let s = cache.stats();
-        assert_eq!(s.len, 3);
-        assert_eq!(s.evictions, 47);
-        // The three most recent keys survive.
-        for i in 47..50 {
-            assert!(cache.get(key(i)).is_some(), "key {i} should be cached");
-        }
+        check::<Embeddings>();
+        check::<Responses>();
     }
 
     #[test]
     fn reinserting_a_key_does_not_leak_recency_entries() {
-        let cache = EmbeddingCache::new(2);
-        for _ in 0..10 {
-            cache.insert(key(1), embedding(2));
+        fn check<F: Fixture>() {
+            let cache = Lru::<F::K, F::V>::new(2);
+            for _ in 0..10 {
+                cache.insert(F::key(1), F::value(2));
+            }
+            cache.insert(F::key(2), F::value(2));
+            cache.insert(F::key(3), F::value(2));
+            let s = cache.stats();
+            assert_eq!(s.len, 2);
+            assert_eq!(s.evictions, 1, "only key 1 was ever displaced");
+            assert_eq!(cache.lock().recency.len(), 2);
         }
-        cache.insert(key(2), embedding(2));
-        cache.insert(key(3), embedding(2));
-        let s = cache.stats();
-        assert_eq!(s.len, 2);
-        assert_eq!(s.evictions, 1, "only key 1 was ever displaced");
+        check::<Embeddings>();
+        check::<Responses>();
     }
 
     #[test]
     fn different_graphs_do_not_share_entries() {
-        let cache = EmbeddingCache::new(4);
+        let cache = Lru::new(4);
         cache.insert(
             CacheKey {
                 structure: 7,
                 graph: 1,
             },
-            embedding(2),
+            Embeddings::value(2),
         );
         assert!(cache
-            .get(CacheKey {
+            .get(&CacheKey {
                 structure: 7,
                 graph: 2,
             })
@@ -269,33 +329,44 @@ mod tests {
 
     #[test]
     fn poisoned_cache_recovers_by_invalidating_not_panicking() {
-        let cache = Arc::new(EmbeddingCache::new(4));
-        cache.insert(key(1), embedding(2));
-        cache.insert(key(2), embedding(2));
-        // Poison the map lock by panicking while holding it.
-        let c2 = Arc::clone(&cache);
-        let _ = std::thread::spawn(move || {
-            let _guard = c2.inner.lock().unwrap();
-            panic!("die holding the cache lock");
-        })
-        .join();
-        assert!(cache.inner.is_poisoned());
-        // Recovery: the lookup succeeds (a miss — entries were dropped) and
-        // the cache is fully usable again.
-        assert!(cache.get(key(1)).is_none());
-        let s = cache.stats();
-        assert_eq!(s.len, 0, "poisoned cache was invalidated");
-        assert_eq!(s.poison_invalidations, 2, "both entries dropped");
-        assert!(!cache.inner.is_poisoned(), "poison flag cleared");
-        cache.insert(key(3), embedding(2));
-        assert!(cache.get(key(3)).is_some(), "cache works after recovery");
+        fn check<F: Fixture>() {
+            let cache = Arc::new(Lru::<F::K, F::V>::new(4));
+            cache.insert(F::key(1), F::value(2));
+            cache.insert(F::key(2), F::value(2));
+            // Poison the map lock by panicking while holding it.
+            let c2 = Arc::clone(&cache);
+            let _ = std::thread::spawn(move || {
+                let _guard = c2.inner.lock().unwrap();
+                panic!("die holding the cache lock");
+            })
+            .join();
+            assert!(cache.inner.is_poisoned());
+            // Recovery: the lookup succeeds (a miss — entries were dropped)
+            // and the cache is fully usable again.
+            assert!(cache.get(&F::key(1)).is_none());
+            let s = cache.stats();
+            assert_eq!(s.len, 0, "poisoned cache was invalidated");
+            assert_eq!(s.poison_invalidations, 2, "both entries dropped");
+            assert!(!cache.inner.is_poisoned(), "poison flag cleared");
+            cache.insert(F::key(3), F::value(2));
+            assert!(
+                cache.get(&F::key(3)).is_some(),
+                "cache works after recovery"
+            );
+        }
+        check::<Embeddings>();
+        check::<Responses>();
     }
 
     #[test]
     fn zero_capacity_disables_caching_without_panicking() {
-        let cache = EmbeddingCache::new(0);
-        cache.insert(key(1), embedding(2));
-        assert!(cache.get(key(1)).is_none());
-        assert_eq!(cache.stats().len, 0);
+        fn check<F: Fixture>() {
+            let cache = Lru::<F::K, F::V>::new(0);
+            cache.insert(F::key(1), F::value(2));
+            assert!(cache.get(&F::key(1)).is_none());
+            assert_eq!(cache.stats().len, 0);
+        }
+        check::<Embeddings>();
+        check::<Responses>();
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! PR 2 gave the *device* a seeded fault model ([`mqo_annealer::faults`]);
 //! this module applies the same discipline one layer up, to the serving
-//! stack itself: worker panics, fatal worker deaths, and per-backend
-//! failures are all rolled from SplitMix64 streams keyed on the **request
+//! stack itself: worker panics, per-backend failures and answer
+//! corruption are all rolled from SplitMix64 streams keyed on the **request
 //! content** (the request seed), never on scheduling order. That makes a
 //! chaos schedule a pure function of `(chaos seed, request stream)`:
 //!
@@ -18,9 +18,6 @@
 //! * **Worker panic** ([`ChaosConfig::worker_panics`]) — the engine panics
 //!   at `solve` entry. The batching worker catches it (`catch_unwind`),
 //!   answers a typed `500 internal_error`, and keeps draining the batch.
-//! * **Worker kill** ([`ChaosConfig::worker_dies`]) — a caught panic is
-//!   escalated after the request is answered: the worker re-queues the rest
-//!   of its batch and dies, exercising the supervisor's respawn path.
 //! * **Backend failure** ([`ChaosConfig::backend_fails`]) — one backend
 //!   attempt fails before running; the engine records it against that
 //!   backend's circuit breaker and falls through to the next candidate.
@@ -36,8 +33,6 @@ use serde::{Deserialize, Serialize};
 
 /// Stream tag for worker-panic rolls.
 pub const STREAM_CHAOS_PANIC: u64 = 0x4348_5041_4e49_0001;
-/// Stream tag for worker-kill escalation rolls.
-pub const STREAM_CHAOS_KILL: u64 = 0x4348_4b49_4c4c_0002;
 /// Stream tag for per-backend failure rolls.
 pub const STREAM_CHAOS_BACKEND: u64 = 0x4348_4241_434b_0003;
 /// Stream tag for client-side connection chaos (aborts/slow writes in
@@ -66,9 +61,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Per-request probability that the solve panics inside the engine.
     pub worker_panic_rate: f64,
-    /// Probability that a *caught* panic escalates and kills the worker
-    /// thread after the request was answered (the supervisor respawns it).
-    pub worker_kill_rate: f64,
     /// Per-(request, backend) probability that a backend attempt fails
     /// before running, tripping that backend's circuit breaker.
     pub backend_failure_rate: f64,
@@ -104,7 +96,6 @@ impl ChaosConfig {
     pub const NONE: ChaosConfig = ChaosConfig {
         seed: 0,
         worker_panic_rate: 0.0,
-        worker_kill_rate: 0.0,
         backend_failure_rate: 0.0,
         sample_corruption_rate: 0.0,
     };
@@ -113,7 +104,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn is_inert(&self) -> bool {
         self.worker_panic_rate <= 0.0
-            && self.worker_kill_rate <= 0.0
             && self.backend_failure_rate <= 0.0
             && self.sample_corruption_rate <= 0.0
     }
@@ -122,7 +112,6 @@ impl ChaosConfig {
     pub fn validate(&self) -> Result<(), &'static str> {
         let rate_ok = |r: f64| (0.0..=1.0).contains(&r);
         if !rate_ok(self.worker_panic_rate)
-            || !rate_ok(self.worker_kill_rate)
             || !rate_ok(self.backend_failure_rate)
             || !rate_ok(self.sample_corruption_rate)
         {
@@ -137,16 +126,6 @@ impl ChaosConfig {
     pub fn worker_panics(&self, req_seed: u64) -> bool {
         self.worker_panic_rate > 0.0
             && chaos_roll(self.seed, STREAM_CHAOS_PANIC, req_seed, 0) < self.worker_panic_rate
-    }
-
-    /// Whether the caught panic of request `req_seed` escalates into a
-    /// worker death. Only consulted after [`ChaosConfig::worker_panics`]
-    /// fired, so the kill schedule is a deterministic subset of the panic
-    /// schedule.
-    #[must_use]
-    pub fn worker_dies(&self, req_seed: u64) -> bool {
-        self.worker_kill_rate > 0.0
-            && chaos_roll(self.seed, STREAM_CHAOS_KILL, req_seed, 0) < self.worker_kill_rate
     }
 
     /// Whether the attempt of `backend` for request `req_seed` is failed
@@ -282,7 +261,6 @@ mod tests {
         assert!(cfg.is_inert());
         for req_seed in 0..1_000 {
             assert!(!cfg.worker_panics(req_seed));
-            assert!(!cfg.worker_dies(req_seed));
             assert!(!cfg.backend_fails(req_seed, Backend::Annealer));
             assert!(cfg.sample_corruption(req_seed).is_none());
         }
@@ -351,7 +329,6 @@ mod tests {
         let cfg = ChaosConfig {
             seed: 7,
             worker_panic_rate: 0.3,
-            worker_kill_rate: 0.5,
             backend_failure_rate: 0.3,
             ..ChaosConfig::NONE
         };
@@ -427,16 +404,14 @@ mod tests {
         let cfg = ChaosConfig {
             seed: 3,
             worker_panic_rate: 0.5,
-            worker_kill_rate: 0.5,
             backend_failure_rate: 0.5,
             ..ChaosConfig::NONE
         };
         let panics: Vec<bool> = (0..400).map(|s| cfg.worker_panics(s)).collect();
-        let kills: Vec<bool> = (0..400).map(|s| cfg.worker_dies(s)).collect();
-        assert_ne!(panics, kills, "kill rolls use their own stream");
         let annealer: Vec<bool> = (0..400)
             .map(|s| cfg.backend_fails(s, Backend::Annealer))
             .collect();
+        assert_ne!(panics, annealer, "backend rolls use their own stream");
         let milp: Vec<bool> = (0..400)
             .map(|s| cfg.backend_fails(s, Backend::Milp))
             .collect();

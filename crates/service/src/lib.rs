@@ -21,7 +21,8 @@
 //!   construction is structure-dependent, not weight-dependent, so
 //!   structurally identical instances reuse a cached embedding and only
 //!   re-derive the Ising weights. Keys combine
-//!   `Qubo::structure_hash` with `ChimeraGraph::fingerprint`.
+//!   `Qubo::structure_hash` with `ChimeraGraph::fingerprint`. Its LRU type
+//!   also backs the router's response cache.
 //! * [`router`] — the paper's representability split (Section 6/7): instances
 //!   over the (possibly fault-degraded) Chimera capacity bound are routed to
 //!   the MILP or hill-climbing backends instead of the annealer.
@@ -30,7 +31,7 @@
 //! * [`breaker`] — per-backend circuit breakers; a repeatedly failing
 //!   backend is skipped in favour of the next candidate (DESIGN.md §9).
 //! * [`chaos`] — deterministic fault injection for the serving stack:
-//!   seeded worker panics, worker deaths, backend failures, and cell-kill
+//!   seeded worker panics, backend failures, answer corruption, and cell-kill
 //!   schedules keyed on request content / seeded streams, inert by default.
 //! * [`supervisor`] — fleet supervision for `mqo_serve` cells run as child
 //!   processes: respawn with exponential backoff, crash-loop quarantine,
@@ -59,7 +60,7 @@ pub mod supervisor;
 
 pub use api::{Backend, Reject, SolveRequest, SolveResponse};
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
-pub use cache::{CacheKey, CacheStats, EmbeddingCache};
+pub use cache::{CacheKey, CacheStats, Lru};
 pub use chaos::ChaosConfig;
 pub use engine::{BreakerPanel, EngineConfig, SolveEngine};
 pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};

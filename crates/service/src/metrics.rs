@@ -166,14 +166,10 @@ pub struct Metrics {
     pub requests_per_connection: LatencyHistogram,
     /// Worker panics caught and isolated by `catch_unwind`.
     pub worker_panics_caught: AtomicU64,
-    /// Dead worker threads respawned by the supervisor.
-    pub worker_respawns: AtomicU64,
     /// Connection-handler panics caught at the HTTP front-end.
     pub conn_panics_caught: AtomicU64,
     /// Chaos: worker panics injected by the chaos layer.
     pub chaos_panics_injected: AtomicU64,
-    /// Chaos: caught panics escalated into worker deaths.
-    pub chaos_kills_injected: AtomicU64,
     /// Chaos: backend attempts failed by the chaos layer.
     pub chaos_backend_failures_injected: AtomicU64,
     /// Chaos: successful answers corrupted at the API boundary.
@@ -237,12 +233,6 @@ pub struct Metrics {
     pub backend_hill_climbing: AtomicU64,
     /// Batches dispatched by the scheduler.
     pub batches_dispatched: AtomicU64,
-    /// Composite multi-tenant programming cycles executed.
-    pub packed_batches: AtomicU64,
-    /// Requests answered from a packed cycle.
-    pub tenants_packed: AtomicU64,
-    /// Requests the packer declined (no free fault-clean region).
-    pub packing_declines: AtomicU64,
     /// Requests currently queued (gauge).
     pub queue_depth: AtomicU64,
     /// End-to-end solve latency (dequeue → response ready).
@@ -286,10 +276,8 @@ impl Metrics {
             shard_accepts: self.shard_accepts.iter().map(load).collect(),
             requests_per_connection: self.requests_per_connection.snapshot(),
             worker_panics_caught: load(&self.worker_panics_caught),
-            worker_respawns: load(&self.worker_respawns),
             conn_panics_caught: load(&self.conn_panics_caught),
             chaos_panics_injected: load(&self.chaos_panics_injected),
-            chaos_kills_injected: load(&self.chaos_kills_injected),
             chaos_backend_failures_injected: load(&self.chaos_backend_failures_injected),
             chaos_corruptions_injected: load(&self.chaos_corruptions_injected),
             chaos_cell_kills_injected: load(&self.chaos_cell_kills_injected),
@@ -318,17 +306,6 @@ impl Metrics {
             backend_milp: load(&self.backend_milp),
             backend_hill_climbing: load(&self.backend_hill_climbing),
             batches_dispatched: load(&self.batches_dispatched),
-            packed_batches: load(&self.packed_batches),
-            tenants_packed: load(&self.tenants_packed),
-            packing_declines: load(&self.packing_declines),
-            tenants_per_cycle: {
-                let batches = load(&self.packed_batches);
-                if batches == 0 {
-                    0.0
-                } else {
-                    load(&self.tenants_packed) as f64 / batches as f64
-                }
-            },
             queue_depth: load(&self.queue_depth),
             solve_latency: self.solve_latency.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
@@ -385,14 +362,10 @@ pub struct MetricsSnapshot {
     pub requests_per_connection: HistogramSnapshot,
     /// Worker panics caught and isolated.
     pub worker_panics_caught: u64,
-    /// Worker threads respawned by the supervisor.
-    pub worker_respawns: u64,
     /// Connection-handler panics caught.
     pub conn_panics_caught: u64,
     /// Chaos-injected worker panics.
     pub chaos_panics_injected: u64,
-    /// Chaos-injected worker deaths.
-    pub chaos_kills_injected: u64,
     /// Chaos-injected backend failures.
     pub chaos_backend_failures_injected: u64,
     /// Chaos-corrupted answers injected at the API boundary.
@@ -466,18 +439,6 @@ pub struct MetricsSnapshot {
     pub backend_hill_climbing: u64,
     /// Batches dispatched by the scheduler.
     pub batches_dispatched: u64,
-    /// Composite multi-tenant programming cycles executed.
-    #[serde(default)]
-    pub packed_batches: u64,
-    /// Requests answered from a packed cycle.
-    #[serde(default)]
-    pub tenants_packed: u64,
-    /// Requests the packer declined (no free fault-clean region).
-    #[serde(default)]
-    pub packing_declines: u64,
-    /// Mean tenants per packed cycle (0.0 before the first cycle).
-    #[serde(default)]
-    pub tenants_per_cycle: f64,
     /// Requests queued right now.
     pub queue_depth: u64,
     /// Solve latency histogram.

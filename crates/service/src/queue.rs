@@ -1,4 +1,4 @@
-//! Bounded admission queue + batching worker pool + supervisor.
+//! Bounded admission queue + batching worker pool.
 //!
 //! The front-end enqueues; a small worker pool drains the queue in batches
 //! (grouping structurally similar requests so embedding-cache hits cluster)
@@ -12,11 +12,10 @@
 //! * every solve runs inside `catch_unwind`: a panicking request is answered
 //!   with a typed `500 internal_error` and the worker keeps draining its
 //!   batch — one poisoned request cannot take its batchmates down;
-//! * a caught panic may escalate into a *worker death* (chaos injection or a
-//!   genuinely unrecoverable worker). The dying worker first pushes the rest
-//!   of its batch back onto the queue, so no admitted request is lost;
-//! * a supervisor thread joins panic-exited workers and respawns them,
-//!   counting respawns in `/metrics` (`worker_respawns`);
+//! * outside that boundary a worker only dequeues, delivers answers and
+//!   bumps atomic counters, none of which can panic, so workers never die
+//!   and need no respawn (process death is the fleet supervisor's job,
+//!   DESIGN.md §14);
 //! * every lock acquisition recovers from poisoning via
 //!   [`crate::metrics::lock_recover`] — the queue state is a `VecDeque` of
 //!   independent jobs with no cross-field invariant, so a poisoned guard is
@@ -27,11 +26,11 @@ use crate::chaos::panic_message;
 use crate::engine::SolveEngine;
 use crate::metrics::{lock_recover, wait_recover, Metrics};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Queue/scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,9 +100,10 @@ impl Responder {
 }
 
 impl Drop for Responder {
-    /// Safety net: a callback responder dropped without answering (worker
-    /// pool died hard) still tells the client the service is going away,
-    /// mirroring what channel waiters see as a `RecvError`.
+    /// Safety net: a callback responder dropped without answering (a queue
+    /// dropped before its workers drained it) still tells the client the
+    /// service is going away, mirroring what channel waiters see as a
+    /// `RecvError`.
     fn drop(&mut self) {
         if let ResponderKind::Callback(f) = &mut self.0 {
             if let Some(f) = f.take() {
@@ -127,16 +127,13 @@ struct QueueState {
     accepting: bool,
 }
 
-/// The admission queue, its worker pool, and the supervisor.
+/// The admission queue and its worker pool.
 pub struct SolveQueue {
     state: Mutex<QueueState>,
     wakeup: Condvar,
     config: QueueConfig,
     engine: Arc<SolveEngine>,
-    /// One slot per worker. `Some` while the worker (original or respawned)
-    /// is running; `None` after a normal drain exit.
-    workers: Mutex<Vec<Option<JoinHandle<()>>>>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for SolveQueue {
@@ -160,7 +157,6 @@ impl SolveQueue {
             config,
             engine,
             workers: Mutex::new(Vec::new()),
-            supervisor: Mutex::new(None),
         })
     }
 
@@ -171,69 +167,18 @@ impl SolveQueue {
         queue
     }
 
-    /// Spawns the worker pool and its supervisor (idempotent only in the
-    /// sense that calling it twice doubles the pool; call once).
+    /// Spawns the worker pool (calling it twice doubles the pool; call
+    /// once).
     pub fn spawn_workers(self: &Arc<Self>) {
-        let n = self.config.workers.max(1);
-        let recoveries = &self.engine.metrics().lock_poison_recoveries;
-        {
-            let mut workers = lock_recover(&self.workers, recoveries);
-            let base = workers.len();
-            for i in 0..n {
-                workers.push(Some(Self::spawn_worker(self, base + i)));
-            }
-        }
-        let mut supervisor = lock_recover(&self.supervisor, recoveries);
-        if supervisor.is_none() {
+        let mut workers =
+            lock_recover(&self.workers, &self.engine.metrics().lock_poison_recoveries);
+        for _ in 0..self.config.workers.max(1) {
             let queue = Arc::clone(self);
-            *supervisor = Some(
-                std::thread::Builder::new()
-                    .name("mqo-supervisor".to_string())
-                    .spawn(move || queue.supervisor_loop())
-                    .expect("spawning the supervisor thread"),
-            );
-        }
-    }
-
-    fn spawn_worker(queue: &Arc<Self>, slot: usize) -> JoinHandle<()> {
-        let queue = Arc::clone(queue);
-        std::thread::Builder::new()
-            .name(format!("mqo-worker-{slot}"))
-            .spawn(move || queue.worker_loop())
-            .expect("spawning a worker thread")
-    }
-
-    /// Scans the worker pool, joining finished threads and respawning the
-    /// ones that exited by panic. Normal exits (drain complete) leave their
-    /// slot empty; the supervisor itself exits once the queue is draining
-    /// and every slot is empty.
-    fn supervisor_loop(self: &Arc<Self>) {
-        let metrics = Arc::clone(self.engine.metrics());
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let draining = !lock_recover(&self.state, &metrics.lock_poison_recoveries).accepting;
-            let mut workers = lock_recover(&self.workers, &metrics.lock_poison_recoveries);
-            let mut alive = 0usize;
-            for slot in 0..workers.len() {
-                match &workers[slot] {
-                    Some(handle) if handle.is_finished() => {
-                        let handle = workers[slot].take().expect("slot checked Some");
-                        if handle.join().is_err() {
-                            // Panic exit: the worker died mid-batch (its
-                            // remaining jobs are already back on the queue).
-                            Metrics::inc(&metrics.worker_respawns);
-                            workers[slot] = Some(Self::spawn_worker(self, slot));
-                            alive += 1;
-                        }
-                    }
-                    Some(_) => alive += 1,
-                    None => {}
-                }
-            }
-            drop(workers);
-            if draining && alive == 0 {
-                return;
-            }
+            let handle = std::thread::Builder::new()
+                .name(format!("mqo-worker-{}", workers.len()))
+                .spawn(move || queue.worker_loop())
+                .expect("spawning a worker thread");
+            workers.push(handle);
         }
     }
 
@@ -299,9 +244,7 @@ impl SolveQueue {
     }
 
     /// Stops admissions, lets the workers drain every queued job, and joins
-    /// them (via the supervisor, which keeps respawning panic-exited workers
-    /// until the drain completes). Every admitted request receives an answer
-    /// before this returns.
+    /// them. Every admitted request receives an answer before this returns.
     pub fn shutdown(&self) {
         let recoveries = &self.engine.metrics().lock_poison_recoveries;
         {
@@ -309,34 +252,10 @@ impl SolveQueue {
             state.accepting = false;
         }
         self.wakeup.notify_all();
-        let supervisor = lock_recover(&self.supervisor, recoveries).take();
-        if let Some(handle) = supervisor {
-            let _ = handle.join();
-        }
-        // No supervisor (a queue built with `new` and never started, or a
-        // second shutdown): join whatever workers remain directly.
-        let handles: Vec<JoinHandle<()>> = lock_recover(&self.workers, recoveries)
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
+        let handles = std::mem::take(&mut *lock_recover(&self.workers, recoveries));
         for handle in handles {
             let _ = handle.join();
         }
-    }
-
-    /// Pushes the unprocessed remainder of a dying worker's batch back to
-    /// the queue front (preserving order) so surviving workers pick it up.
-    fn requeue(&self, batch: VecDeque<Job>) {
-        let metrics = self.engine.metrics();
-        let mut state = lock_recover(&self.state, &metrics.lock_poison_recoveries);
-        for job in batch.into_iter().rev() {
-            state.jobs.push_front(job);
-        }
-        metrics
-            .queue_depth
-            .store(state.jobs.len() as u64, Ordering::Relaxed);
-        drop(state);
-        self.wakeup.notify_all();
     }
 
     fn worker_loop(&self) {
@@ -364,28 +283,7 @@ impl SolveQueue {
             // Group structurally identical instances adjacently so the
             // second one of a pair hits the embedding the first just cached.
             batch.sort_by_key(|job| (job.req.problem.num_queries(), job.req.problem.num_plans()));
-            // Packing mode: try to answer the whole batch from one composite
-            // programming cycle first. Slots the packer leaves `None` (not
-            // packable, placer declined, tenant hit a device fault) take the
-            // solo path below, so this is a pure fast-path — a panic inside
-            // it degrades the batch to all-solo rather than failing anyone.
-            let mut packed: VecDeque<Option<Result<SolveResponse, Reject>>> = VecDeque::new();
-            let mut packed_us = 0u64;
-            if self.engine.config().packing && batch.len() >= 2 {
-                let refs: Vec<&SolveRequest> = batch.iter().map(|job| &job.req).collect();
-                let started = Instant::now();
-                packed = match catch_unwind(AssertUnwindSafe(|| self.engine.solve_packed(&refs))) {
-                    Ok(results) => results.into(),
-                    Err(_) => {
-                        Metrics::inc(&metrics.worker_panics_caught);
-                        VecDeque::new()
-                    }
-                };
-                packed_us = started.elapsed().as_micros() as u64;
-            }
-            let mut batch: VecDeque<Job> = batch.into();
-            while let Some(job) = batch.pop_front() {
-                let pre = packed.pop_front().flatten();
+            for job in batch {
                 if job
                     .deadline
                     .is_some_and(|deadline| Instant::now() >= deadline)
@@ -398,17 +296,6 @@ impl SolveQueue {
                 }
                 let wait_us = job.enqueued.elapsed().as_micros() as u64;
                 metrics.queue_wait.record(wait_us);
-                if let Some(result) = pre {
-                    // Answered by the packed cycle. The recorded latency is
-                    // the cycle's wall time: that is what the request cost.
-                    metrics.solve_latency.record(packed_us);
-                    let result = result.map(|mut response| {
-                        response.queue_wait_us = wait_us;
-                        response
-                    });
-                    job.responder.respond(result);
-                    continue;
-                }
                 let started = Instant::now();
                 // The engine is a shared reference either way; the unwind
                 // boundary only isolates the panic, it does not hand the
@@ -432,16 +319,6 @@ impl SolveQueue {
                         Metrics::inc(&metrics.rejected_internal);
                         let detail = panic_message(payload.as_ref());
                         job.responder.respond(Err(Reject::InternalError { detail }));
-                        // Chaos may escalate the caught panic into a worker
-                        // death (keyed on request content, so the kill
-                        // schedule is deterministic). The batch remainder
-                        // goes back on the queue first: requests are never
-                        // lost, only delayed by the respawn.
-                        if self.engine.config().chaos.worker_dies(job.req.seed) {
-                            Metrics::inc(&metrics.chaos_kills_injected);
-                            self.requeue(batch);
-                            resume_unwind(payload);
-                        }
                     }
                 }
             }
@@ -581,51 +458,6 @@ mod tests {
         assert_eq!(m.queue_wait.count, 8);
     }
 
-    #[test]
-    fn packed_batches_answer_every_request_identically_to_solo() {
-        let packing_engine = || {
-            let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-            cfg.device.num_reads = 20;
-            cfg.device.num_gauges = 2;
-            cfg.packing = true;
-            Arc::new(SolveEngine::new(cfg, Arc::new(Metrics::default())))
-        };
-        let run = |engine: Arc<SolveEngine>| {
-            let queue = SolveQueue::new(
-                engine,
-                QueueConfig {
-                    batch_size: 4,
-                    workers: 1,
-                    ..QueueConfig::default()
-                },
-            );
-            let receivers: Vec<_> = (0..4)
-                .map(|i| queue.submit(SolveRequest::new(tiny_problem(), i)).unwrap())
-                .collect();
-            queue.spawn_workers();
-            queue.shutdown();
-            let answers: Vec<SolveResponse> = receivers
-                .into_iter()
-                .map(|rx| rx.recv().unwrap().unwrap())
-                .collect();
-            (queue, answers)
-        };
-        let (packed_queue, packed) = run(packing_engine());
-        let (_, solo) = run(engine());
-        for (p, s) in packed.iter().zip(&solo) {
-            assert_eq!(p.selection, s.selection);
-            assert_eq!(p.cost, s.cost);
-            assert_eq!(p.reads, s.reads);
-            assert_eq!(p.packed_tenants, 4, "{}", p.route_reason);
-            assert_eq!(s.packed_tenants, 0);
-        }
-        let m = packed_queue.engine.metrics().snapshot();
-        assert_eq!(m.packed_batches, 1);
-        assert_eq!(m.tenants_packed, 4);
-        assert_eq!(m.solved_total, 4);
-        assert_eq!(m.solve_latency.count, 4);
-    }
-
     fn chaos_engine(chaos: crate::chaos::ChaosConfig) -> Arc<SolveEngine> {
         let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
         cfg.device.num_reads = 20;
@@ -699,46 +531,5 @@ mod tests {
         assert_eq!(m.worker_panics_caught, expected);
         assert_eq!(m.rejected_internal, expected);
         assert_eq!(m.solved_total, 16 - expected);
-        assert_eq!(m.worker_respawns, 0, "no kills: the worker never died");
-    }
-
-    #[test]
-    fn killed_workers_requeue_their_batch_and_are_respawned() {
-        let _quiet = silence_panics();
-        // Every request panics AND escalates into a worker death: the
-        // supervisor must respawn once per request for the drain to finish.
-        let chaos = crate::chaos::ChaosConfig {
-            seed: 9,
-            worker_panic_rate: 1.0,
-            worker_kill_rate: 1.0,
-            ..crate::chaos::ChaosConfig::NONE
-        };
-        let queue = SolveQueue::new(
-            chaos_engine(chaos),
-            QueueConfig {
-                workers: 1,
-                batch_size: 4,
-                ..QueueConfig::default()
-            },
-        );
-        let receivers: Vec<_> = (0..6)
-            .map(|i| queue.submit(SolveRequest::new(tiny_problem(), i)).unwrap())
-            .collect();
-        queue.spawn_workers();
-        queue.shutdown();
-        for rx in receivers {
-            match rx.recv().expect("killed workers never lose requests") {
-                Err(Reject::InternalError { .. }) => {}
-                other => panic!("expected InternalError, got {other:?}"),
-            }
-        }
-        let m = queue.engine.metrics().snapshot();
-        assert_eq!(m.worker_panics_caught, 6);
-        assert_eq!(m.chaos_kills_injected, 6);
-        assert_eq!(
-            m.worker_respawns, 6,
-            "each worker death is matched by a respawn"
-        );
-        assert_eq!(m.solved_total, 0);
     }
 }

@@ -50,16 +50,17 @@
 
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
+use crate::cache::Lru;
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 use crate::http::{HttpLimits, KeepAliveClient, Request};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::LogicalMapping;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -291,95 +292,6 @@ impl Drop for JournalGuard {
     }
 }
 
-#[derive(Default)]
-struct ResponseCacheInner {
-    /// Canonical request bytes → (response body, recency stamp).
-    map: HashMap<Vec<u8>, (String, u64)>,
-    /// Recency stamp → key, oldest first; kept in lockstep with `map`.
-    recency: BTreeMap<u64, Vec<u8>>,
-    tick: u64,
-}
-
-/// A bounded LRU of successful `/solve` answers keyed by the *canonical*
-/// request bytes (the request re-serialised without its `deadline_ms`, so
-/// the key covers structure, weights, seed, reads, gauges, and backend
-/// pin — everything the answer depends on, nothing it doesn't). Safe
-/// because solves are deterministic: a hit returns the exact bytes the
-/// fleet produced for the first occurrence. Same counter/poison pattern as
-/// [`crate::cache::EmbeddingCache`]: a poisoned lock invalidates the whole
-/// cache rather than trusting interrupted LRU bookkeeping.
-struct ResponseCache {
-    inner: Mutex<ResponseCacheInner>,
-    capacity: usize,
-}
-
-impl ResponseCache {
-    fn new(capacity: usize) -> Self {
-        ResponseCache {
-            inner: Mutex::new(ResponseCacheInner::default()),
-            capacity,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ResponseCacheInner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut inner = poisoned.into_inner();
-                inner.map.clear();
-                inner.recency.clear();
-                self.inner.clear_poison();
-                inner
-            }
-        }
-    }
-
-    fn get(&self, key: &[u8]) -> Option<String> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (body, stamp) = inner.map.get_mut(key)?;
-        let old = std::mem::replace(stamp, tick);
-        let body = body.clone();
-        inner.recency.remove(&old);
-        inner.recency.insert(tick, key.to_vec());
-        Some(body)
-    }
-
-    fn insert(&self, key: &[u8], body: &str) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((_, old)) = inner.map.insert(key.to_vec(), (body.to_string(), tick)) {
-            inner.recency.remove(&old);
-        }
-        inner.recency.insert(tick, key.to_vec());
-        while inner.map.len() > self.capacity {
-            let Some((&oldest, _)) = inner.recency.iter().next() else {
-                break;
-            };
-            let Some(victim) = inner.recency.remove(&oldest) else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-}
-
 /// Shared forwarding state: the cells, the failover machinery, and the
 /// warm-up exemplar store.
 struct Fleet {
@@ -394,7 +306,13 @@ struct Fleet {
     /// running, all-false otherwise.
     quarantined: Arc<Vec<AtomicBool>>,
     journal: Arc<FailoverJournal>,
-    response_cache: ResponseCache,
+    /// Successful `/solve` answers keyed by the *canonical* request bytes
+    /// (the request re-serialised without its `deadline_ms`, so the key
+    /// covers structure, weights, seed, reads, gauges, and backend pin —
+    /// everything the answer depends on, nothing it doesn't). Safe because
+    /// solves are deterministic: a hit returns the exact bytes the fleet
+    /// produced for the first occurrence.
+    response_cache: Lru<Vec<u8>, String>,
     metrics: Arc<Metrics>,
     lock_recoveries: AtomicU64,
 }
@@ -453,7 +371,7 @@ impl Fleet {
                 }
             }
         };
-        if self.response_cache.enabled() {
+        if self.response_cache.capacity() > 0 {
             if let Some(body) = self.response_cache.get(&canonical) {
                 Metrics::inc(&self.metrics.router_cache_hits);
                 return Response::json(200, body);
@@ -559,7 +477,7 @@ impl Fleet {
                             Metrics::inc(&self.metrics.failovers);
                         }
                         if status == 200 {
-                            self.response_cache.insert(&canonical, &resp_body);
+                            self.response_cache.insert(canonical, resp_body.clone());
                         }
                         return Response::json(status, resp_body);
                     }
@@ -682,7 +600,7 @@ impl Handler for RouterHandler {
                     "service": self.metrics.snapshot(),
                     "router": serde_json::json!({
                         "cells": self.fleet.cell_snapshots(),
-                        "response_cache_len": self.fleet.response_cache.len(),
+                        "response_cache_len": self.fleet.response_cache.stats().len,
                         "journal_depth": self.fleet.failover.journal_depth,
                     }),
                     "supervisor": supervisor,
@@ -833,7 +751,7 @@ impl MqoRouter {
             failover: config.failover,
             quarantined,
             journal,
-            response_cache: ResponseCache::new(config.response_cache),
+            response_cache: Lru::new(config.response_cache),
             metrics: Arc::clone(&metrics),
             lock_recoveries: AtomicU64::new(0),
         });
@@ -1319,22 +1237,5 @@ mod tests {
             0,
             "disabled journal stores nothing"
         );
-    }
-
-    #[test]
-    fn response_cache_is_a_bounded_lru() {
-        let cache = ResponseCache::new(2);
-        cache.insert(b"a", "1");
-        cache.insert(b"b", "2");
-        assert_eq!(cache.get(b"a").as_deref(), Some("1"));
-        cache.insert(b"c", "3");
-        assert_eq!(cache.get(b"b"), None, "LRU victim evicted");
-        assert_eq!(cache.get(b"a").as_deref(), Some("1"));
-        assert_eq!(cache.get(b"c").as_deref(), Some("3"));
-        assert_eq!(cache.len(), 2);
-        let disabled = ResponseCache::new(0);
-        disabled.insert(b"a", "1");
-        assert_eq!(disabled.get(b"a"), None);
-        assert_eq!(disabled.len(), 0);
     }
 }

@@ -304,7 +304,7 @@ impl Supervisor {
         let monitor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name("mqo-supervisor".to_string())
+                .name("mqo-cell-monitor".to_string())
                 .spawn(move || monitor_loop(&shared))
                 .map_err(|e| format!("cannot spawn supervisor monitor: {e}"))?
         };
