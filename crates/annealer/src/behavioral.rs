@@ -82,50 +82,78 @@ impl BehavioralSampler {
         self.config
     }
 
-    /// Greedy descent over single spins, unit flips, and coupled unit-pair
-    /// flips until no move improves.
-    fn descend(ising: &Ising, units: &Units, s: &mut [i8]) {
-        // Unit pairs worth trying: units linked by at least one coupling.
-        let mut pair_set = std::collections::BTreeSet::new();
-        for &(a, b, _) in ising.couplings() {
-            let ua = units.unit_of[a.index()];
-            let ub = units.unit_of[b.index()];
-            if ua != ub {
-                pair_set.insert(if ua < ub { (ua, ub) } else { (ub, ua) });
-            }
-        }
-        let pairs: Vec<(u32, u32)> = pair_set.into_iter().collect();
+    /// Greedy descent over single spins, unit flips, unit aligns and
+    /// coupled unit-pair flips until no move improves.
+    ///
+    /// Makes exactly the decisions of
+    /// [`BehavioralSampler::descend_reference`], in the same order, and so
+    /// leaves the same state. Descent draws no randomness, so a move's delta
+    /// is a pure function of the spins it reads. A move rejected at step
+    /// `c` whose units were not touched after `c` would be evaluated to the
+    /// bit-identical delta and rejected again; it is skipped. Unit flip
+    /// deltas are memoised under the same stamps and feed the pair deltas.
+    pub fn descend(ising: &Ising, units: &Units, moves: &UnitMoves, s: &mut [i8]) {
+        debug_assert_eq!(moves.around.len(), units.len());
+        let mut stamps = Stamps::new(moves, units.len());
+        // Step at which each move was last evaluated and rejected.
+        let mut spin_checked = vec![0u64; ising.num_spins()];
+        let mut align_checked = vec![[0u64; 2]; units.len()];
+        let mut pair_checked = vec![0u64; moves.pairs.len()];
 
         loop {
             let mut improved = false;
             for i in 0..ising.num_spins() {
+                let u = units.unit_of[i] as usize;
+                if stamps.touched[u] <= spin_checked[i] {
+                    continue;
+                }
                 if ising.flip_delta(s, VarId::new(i)) < -1e-12 {
                     s[i] = -s[i];
+                    stamps.touch(u);
                     improved = true;
+                } else {
+                    spin_checked[i] = stamps.clock;
                 }
             }
-            for u in 0..units.len() {
+            for (u, checked) in align_checked.iter_mut().enumerate() {
                 if units.members[u].len() < 2 {
                     continue;
                 }
-                if units.flip_delta(ising, s, u) < -1e-12 {
+                if stamps.flip_delta(ising, units, s, u) < -1e-12 {
                     units.apply_flip(s, u);
+                    stamps.touch(u);
                     improved = true;
                 }
                 // Align moves repair broken chains that whole-unit flips
                 // leave locally stable.
-                for v in [1i8, -1] {
+                for (k, v) in [1i8, -1].into_iter().enumerate() {
+                    if stamps.touched[u] <= checked[k] {
+                        continue;
+                    }
                     if units.align_delta(ising, s, u, v) < -1e-12 {
                         units.apply_align(s, u, v);
+                        stamps.touch(u);
                         improved = true;
+                    } else {
+                        checked[k] = stamps.clock;
                     }
                 }
             }
-            for &(a, b) in &pairs {
-                if units.pair_flip_delta(ising, s, a as usize, b as usize) < -1e-12 {
-                    units.apply_flip(s, a as usize);
-                    units.apply_flip(s, b as usize);
+            for (p, &(a, b)) in moves.pairs.iter().enumerate() {
+                let (a, b) = (a as usize, b as usize);
+                if stamps.touched[a].max(stamps.touched[b]) <= pair_checked[p] {
+                    continue;
+                }
+                let delta_a = stamps.flip_delta(ising, units, s, a);
+                let delta_b = stamps.flip_delta(ising, units, s, b);
+                if units.pair_flip_delta_from(ising, s, a, b, delta_a, delta_b) < -1e-12 {
+                    units.apply_flip(s, a);
+                    units.apply_flip(s, b);
+                    stamps.touch(a);
+                    stamps.touch(b);
                     improved = true;
+                } else {
+                    pair_checked[p] = stamps.clock;
                 }
             }
             if !improved {
@@ -134,24 +162,103 @@ impl BehavioralSampler {
         }
     }
 
-    fn run_oracle(&self, ising: &Ising, units: &Units, rng: &mut dyn RngCore) -> Vec<i8> {
+    fn run_oracle(
+        &self,
+        ising: &Ising,
+        units: &Units,
+        moves: &UnitMoves,
+        rng: &mut dyn RngCore,
+    ) -> Vec<i8> {
         let n = ising.num_spins();
         let mut best: Option<(f64, Vec<i8>)> = None;
         for _ in 0..self.config.oracle_restarts {
             let mut s: Vec<i8> = (0..n)
                 .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
                 .collect();
-            Self::descend(ising, units, &mut s);
+            Self::descend(ising, units, moves, &mut s);
             let e = ising.energy(&s);
             if best.as_ref().is_none_or(|(be, _)| e < *be) {
                 best = Some((e, s));
             }
         }
-        let (energy, state) = best.expect("at least one restart");
-        if std::env::var_os("MQO_B_DEBUG").is_some() {
-            eprintln!("[behavioral] oracle energy {energy:.1}");
+        best.expect("at least one restart").1
+    }
+}
+
+/// The move structure of one programming, shared by every oracle restart:
+/// the sorted, deduplicated unit pairs linked by at least one coupling, and
+/// each unit's closed neighbourhood (itself and every unit it shares a
+/// coupling with).
+#[derive(Debug, Clone)]
+pub struct UnitMoves {
+    pairs: Vec<(u32, u32)>,
+    around: Vec<Vec<u32>>,
+}
+
+impl UnitMoves {
+    /// Derives the unit pairs and neighbourhoods of `units` over `ising`.
+    pub fn new(ising: &Ising, units: &Units) -> UnitMoves {
+        let mut pairs = Vec::new();
+        for &(a, b, _) in ising.couplings() {
+            let ua = units.unit_of[a.index()];
+            let ub = units.unit_of[b.index()];
+            if ua != ub {
+                pairs.push(if ua < ub { (ua, ub) } else { (ub, ua) });
+            }
         }
-        state
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut around: Vec<Vec<u32>> = (0..units.len() as u32).map(|u| vec![u]).collect();
+        for &(a, b) in &pairs {
+            around[a as usize].push(b);
+            around[b as usize].push(a);
+        }
+        UnitMoves { pairs, around }
+    }
+}
+
+/// The step clock of one descent and what it stamps. Every move reads only
+/// spins of the units it moves and of their neighbours, and writes only
+/// spins of the units it moves; so a move on `u` touches `u`'s closed
+/// neighbourhood, and `touched[u]` is the last step that may have changed
+/// an input of a move on `u`.
+struct Stamps<'a> {
+    around: &'a [Vec<u32>],
+    clock: u64,
+    touched: Vec<u64>,
+    /// Memoised [`Units::flip_delta`] per unit and the step it was taken at.
+    flip: Vec<(f64, u64)>,
+}
+
+impl<'a> Stamps<'a> {
+    fn new(moves: &'a UnitMoves, units: usize) -> Self {
+        // Everything starts touched at step 1, after every "never" (0).
+        Stamps {
+            around: &moves.around,
+            clock: 1,
+            touched: vec![1; units],
+            flip: vec![(0.0, 0); units],
+        }
+    }
+
+    /// Records a move applied to unit `u`.
+    fn touch(&mut self, u: usize) {
+        self.clock += 1;
+        for &v in &self.around[u] {
+            self.touched[v as usize] = self.clock;
+        }
+    }
+
+    /// [`Units::flip_delta`] of `u`, recomputed only if `u` was touched
+    /// after the memoised value was taken.
+    fn flip_delta(&mut self, ising: &Ising, units: &Units, s: &[i8], u: usize) -> f64 {
+        let (delta, at) = self.flip[u];
+        if self.touched[u] <= at {
+            return delta;
+        }
+        let delta = units.flip_delta(ising, s, u);
+        self.flip[u] = (delta, self.clock);
+        delta
     }
 }
 
@@ -169,19 +276,11 @@ impl Sampler for BehavioralSampler {
         } else {
             Units::from_chains(&ising, hints.chains)
         };
-        if std::env::var_os("MQO_B_DEBUG").is_some() {
-            let multi = units.members.iter().filter(|m| m.len() >= 2).count();
-            eprintln!(
-                "[behavioral] spins={} units={} multi_qubit_units={}",
-                ising.num_spins(),
-                units.len(),
-                multi
-            );
-        }
         let oracle = if ising.num_spins() == 0 {
             Vec::new()
         } else {
-            self.run_oracle(&ising, &units, rng)
+            let moves = UnitMoves::new(&ising, &units);
+            self.run_oracle(&ising, &units, &moves, rng)
         };
         let beta = self.config.beta / ising.max_abs_weight().max(f64::MIN_POSITIVE);
         ProgrammedBehavioral {
@@ -364,18 +463,62 @@ mod tests {
         assert_eq!(c, vec![-1, 1], "descent solves the trivial field problem");
     }
 
+    /// Three chains, one of them gauge-flipped (antiferromagnetic bonds),
+    /// and a free spin, linked by weak frustrated couplings.
+    fn chained_ising() -> (Ising, Vec<Vec<usize>>) {
+        let ising = Ising::new(
+            vec![0.5, -1.0, 0.25, 1.0, -0.5, 0.75, 0.0, -0.25],
+            vec![
+                (VarId(0), VarId(1), -4.0),
+                (VarId(1), VarId(2), -4.0),
+                (VarId(3), VarId(4), -3.0),
+                (VarId(5), VarId(6), 3.0),
+                (VarId(2), VarId(3), 1.0),
+                (VarId(0), VarId(4), -0.5),
+                (VarId(4), VarId(5), 1.0),
+                (VarId(1), VarId(6), -1.0),
+                (VarId(6), VarId(7), 0.5),
+                (VarId(2), VarId(7), -1.0),
+            ],
+            0.0,
+        );
+        (ising, vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]])
+    }
+
     #[test]
     fn descent_reaches_pairwise_local_minima() {
-        let ising = Ising::from_qubo(&frustrated_qubo());
-        let units = Units::detect(&ising, 0.5);
-        let mut s = vec![1i8; 6];
-        BehavioralSampler::descend(&ising, &units, &mut s);
-        for i in 0..6 {
-            assert!(ising.flip_delta(&s, VarId::new(i)) >= -1e-9);
+        let frustrated = Ising::from_qubo(&frustrated_qubo());
+        let frustrated_units = Units::detect(&frustrated, 0.5);
+        let (chained, chains) = chained_ising();
+        let chained_units = Units::from_chains(&chained, &chains);
+        let cases = [(frustrated, frustrated_units), (chained, chained_units)];
+        for (ising, units) in &cases {
+            let n = ising.num_spins();
+            let moves = UnitMoves::new(ising, units);
+            for mask in 0u32..(1 << n) {
+                let mut s: Vec<i8> = (0..n)
+                    .map(|i| if mask & (1 << i) != 0 { 1 } else { -1 })
+                    .collect();
+                BehavioralSampler::descend(ising, units, &moves, &mut s);
+                for i in 0..n {
+                    assert!(ising.flip_delta(&s, VarId::new(i)) >= -1e-9);
+                }
+                for u in 0..units.len() {
+                    assert!(units.flip_delta(ising, &s, u) >= -1e-9);
+                    for v in [1i8, -1] {
+                        assert!(units.align_delta(ising, &s, u, v) >= -1e-9);
+                    }
+                }
+                for &(a, b) in &moves.pairs {
+                    let delta = units.pair_flip_delta(ising, &s, a as usize, b as usize);
+                    assert!(delta >= -1e-9, "units {a},{b} mask {mask}: {delta}");
+                }
+            }
         }
-        for u in 0..units.len() {
-            assert!(units.flip_delta(&ising, &s, u) >= -1e-9);
-        }
+        // Pair moves are exercised: five of the chained problem's six unit
+        // pairs are coupled.
+        let (ising, units) = &cases[1];
+        assert_eq!(UnitMoves::new(ising, units).pairs.len(), 5);
     }
 
     #[test]

@@ -85,6 +85,8 @@ pub struct Units {
     pub members: Vec<Vec<usize>>,
     /// `unit_of[spin]` — the unit containing each spin.
     pub unit_of: Vec<u32>,
+    /// `pos[spin]` — the spin's slot in its unit's `members` (and `signs`).
+    pub pos: Vec<u32>,
     /// Internally consistent relative sign per member (parallel to
     /// `members`): the unit's two low-intra-energy states are
     /// `s_i = ±signs[i]`. Under a gauge transformation chain bonds may turn
@@ -110,12 +112,14 @@ impl Units {
     fn from_groups(ising: &Ising, groups: Vec<Vec<usize>>) -> Units {
         let n = ising.num_spins();
         let mut unit_of = vec![u32::MAX; n];
+        let mut pos = vec![0u32; n];
         let mut members = Vec::with_capacity(groups.len());
         for group in groups {
             let id = members.len() as u32;
-            for &i in &group {
+            for (k, &i) in group.iter().enumerate() {
                 debug_assert!(unit_of[i] == u32::MAX, "groups must be disjoint");
                 unit_of[i] = id;
+                pos[i] = k as u32;
             }
             members.push(group);
         }
@@ -125,15 +129,16 @@ impl Units {
                 members.push(vec![i]);
             }
         }
-        let signs = members
-            .iter()
-            .map(|group| relative_signs(ising, group))
-            .collect();
-        Units {
+        let mut units = Units {
             members,
             unit_of,
-            signs,
-        }
+            pos,
+            signs: Vec::new(),
+        };
+        units.signs = (0..units.len())
+            .map(|u| units.relative_signs(ising, u))
+            .collect();
+        units
     }
 
     /// Number of units.
@@ -168,8 +173,25 @@ impl Units {
     /// individual deltas corrected by the couplings *between* the two units
     /// (those flip twice, i.e. not at all).
     pub fn pair_flip_delta(&self, ising: &Ising, s: &[i8], a: usize, b: usize) -> f64 {
+        let (delta_a, delta_b) = (self.flip_delta(ising, s, a), self.flip_delta(ising, s, b));
+        self.pair_flip_delta_from(ising, s, a, b, delta_a, delta_b)
+    }
+
+    /// [`Units::pair_flip_delta`] given the two units' own
+    /// [`Units::flip_delta`] values, so a caller that already holds them
+    /// (the oracle descent memoises them) skips recomputing them. The
+    /// expression and summation order are those of `pair_flip_delta`.
+    pub(crate) fn pair_flip_delta_from(
+        &self,
+        ising: &Ising,
+        s: &[i8],
+        a: usize,
+        b: usize,
+        delta_a: f64,
+        delta_b: f64,
+    ) -> f64 {
         debug_assert_ne!(a, b);
-        let mut delta = self.flip_delta(ising, s, a) + self.flip_delta(ising, s, b);
+        let mut delta = delta_a + delta_b;
         let idb = b as u32;
         for &i in &self.members[a] {
             for (j, w) in ising.neighbours(VarId::new(i)) {
@@ -200,7 +222,6 @@ impl Units {
         let members = &self.members[unit];
         let signs = &self.signs[unit];
         let target = |k: usize| -> i8 { v * signs[k] };
-        let member_pos = |j: usize| members.iter().position(|&m| m == j);
         let mut delta = 0.0;
         for (k, &i) in members.iter().enumerate() {
             if s[i] == target(k) {
@@ -211,8 +232,8 @@ impl Units {
             for (j, w) in ising.neighbours(VarId::new(i)) {
                 let j = j.index();
                 // External unless j is another member that also flips.
-                let flips_too = self.unit_of[j] == unit as u32
-                    && member_pos(j).is_some_and(|kj| s[j] != target(kj));
+                let flips_too =
+                    self.unit_of[j] == unit as u32 && s[j] != target(self.pos[j] as usize);
                 if !flips_too {
                     ext += w * f64::from(s[j]);
                 }
@@ -229,33 +250,34 @@ impl Units {
             s[i] = v * self.signs[unit][k];
         }
     }
-}
 
-/// Relative signs making a group internally consistent: BFS over the
-/// intra-group couplings, following `−sign(J)` across each bond (J < 0 →
-/// parallel, J > 0 → antiparallel). Spins unreachable through intra-group
-/// bonds default to `+1`.
-fn relative_signs(ising: &Ising, group: &[usize]) -> Vec<i8> {
-    let pos = |i: usize| group.iter().position(|&g| g == i);
-    let mut signs: Vec<i8> = vec![0; group.len()];
-    signs[0] = 1;
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(k) = queue.pop_front() {
-        for (j, w) in ising.neighbours(VarId::new(group[k])) {
-            if let Some(kj) = pos(j.index()) {
-                if signs[kj] == 0 {
-                    signs[kj] = if w < 0.0 { signs[k] } else { -signs[k] };
-                    queue.push_back(kj);
+    /// Relative signs making a unit internally consistent: BFS over the
+    /// intra-unit couplings, following `−sign(J)` across each bond (J < 0 →
+    /// parallel, J > 0 → antiparallel). Members unreachable through
+    /// intra-unit bonds default to `+1`.
+    fn relative_signs(&self, ising: &Ising, unit: usize) -> Vec<i8> {
+        let group = &self.members[unit];
+        let mut signs: Vec<i8> = vec![0; group.len()];
+        signs[0] = 1;
+        let mut queue = std::collections::VecDeque::from([0usize]);
+        while let Some(k) = queue.pop_front() {
+            for (j, w) in ising.neighbours(VarId::new(group[k])) {
+                if self.unit_of[j.index()] == unit as u32 {
+                    let kj = self.pos[j.index()] as usize;
+                    if signs[kj] == 0 {
+                        signs[kj] = if w < 0.0 { signs[k] } else { -signs[k] };
+                        queue.push_back(kj);
+                    }
                 }
             }
         }
-    }
-    for s in &mut signs {
-        if *s == 0 {
-            *s = 1;
+        for s in &mut signs {
+            if *s == 0 {
+                *s = 1;
+            }
         }
+        signs
     }
-    signs
 }
 
 #[cfg(test)]
@@ -275,6 +297,76 @@ mod tests {
             ],
             0.0,
         )
+    }
+
+    /// The linear-search transcription of [`Units::relative_signs`] that
+    /// `pos` replaced: membership and slot by `position` over the group.
+    fn relative_signs_by_search(ising: &Ising, group: &[usize]) -> Vec<i8> {
+        let pos = |i: usize| group.iter().position(|&g| g == i);
+        let mut signs: Vec<i8> = vec![0; group.len()];
+        signs[0] = 1;
+        let mut queue = std::collections::VecDeque::from([0usize]);
+        while let Some(k) = queue.pop_front() {
+            for (j, w) in ising.neighbours(VarId::new(group[k])) {
+                if let Some(kj) = pos(j.index()) {
+                    if signs[kj] == 0 {
+                        signs[kj] = if w < 0.0 { signs[k] } else { -signs[k] };
+                        queue.push_back(kj);
+                    }
+                }
+            }
+        }
+        for s in &mut signs {
+            if *s == 0 {
+                *s = 1;
+            }
+        }
+        signs
+    }
+
+    #[test]
+    fn pos_index_matches_linear_search_on_gauge_transformed_chains() {
+        // A 5-spin chain listed out of spin order (so slots differ from
+        // spin indices), a 3-spin chain, and a free spin, weakly coupled.
+        let ising = Ising::new(
+            vec![0.5, -0.25, 0.0, 1.0, -0.5, 0.25, 0.0, 0.75, -1.0],
+            vec![
+                (VarId(6), VarId(2), -4.0),
+                (VarId(2), VarId(0), -4.0),
+                (VarId(0), VarId(7), -4.0),
+                (VarId(7), VarId(4), -4.0),
+                (VarId(1), VarId(3), -3.0),
+                (VarId(3), VarId(5), -3.0),
+                (VarId(0), VarId(1), 1.0),
+                (VarId(4), VarId(5), -0.5),
+                (VarId(5), VarId(8), 0.75),
+            ],
+            0.0,
+        );
+        let chains = vec![vec![6, 2, 0, 7, 4], vec![5, 3, 1]];
+        for mask in 0u32..(1 << 9) {
+            let gauge: Vec<i8> = (0..9)
+                .map(|i| if mask & (1 << i) != 0 { -1 } else { 1 })
+                .collect();
+            let gauged = ising.gauge_transformed(&gauge);
+            let units = Units::from_chains(&gauged, &chains);
+            for (u, members) in units.members.iter().enumerate() {
+                for (k, &i) in members.iter().enumerate() {
+                    assert_eq!(units.unit_of[i], u as u32);
+                    assert_eq!(units.pos[i], k as u32);
+                }
+                assert_eq!(
+                    units.signs[u],
+                    relative_signs_by_search(&gauged, members),
+                    "unit {u} gauge mask {mask}"
+                );
+                // The consistent state is the gauge image of "all equal".
+                for (k, &i) in members.iter().enumerate() {
+                    let expect = gauge[i] * gauge[members[0]];
+                    assert_eq!(units.signs[u][k], expect, "unit {u} slot {k}");
+                }
+            }
+        }
     }
 
     #[test]

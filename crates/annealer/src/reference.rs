@@ -9,7 +9,9 @@
 //! exit — kept as executable documentation and as oracles: the proptest
 //! suite (`tests/proptest_kernels.rs`) asserts that fast and reference
 //! kernels produce **bit-identical** sample streams from the same RNG
-//! state.
+//! state. The behavioural oracle's descent has its reference here too: it
+//! re-evaluates every move on every pass, where the fast descent skips the
+//! moves whose inputs have not changed, and both must end in the same state.
 //!
 //! Shared pieces guarantee the identity by construction: both sides use
 //! [`crate::sampler::metropolis_accept`] (same draw-skipping rules), the
@@ -18,11 +20,13 @@
 //! here — a frozen sweep consumes no randomness and flips nothing, so the
 //! reference's remaining sweeps are exact no-ops.
 
-use crate::behavioral::ProgrammedBehavioral;
+use crate::behavioral::{BehavioralSampler, ProgrammedBehavioral};
+use crate::clusters::Units;
 use crate::sa::ProgrammedSa;
 use crate::sampler::metropolis_accept;
 use crate::sqa::ProgrammedSqa;
 use mqo_core::ids::VarId;
+use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
 
 impl ProgrammedSa {
@@ -191,6 +195,60 @@ impl ProgrammedBehavioral {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+impl BehavioralSampler {
+    /// Reference transcription of the oracle descent: every pass
+    /// re-evaluates every single-spin, unit-flip, align and pair move.
+    /// [`BehavioralSampler::descend`] leaves the same state from the same
+    /// start.
+    pub fn descend_reference(ising: &Ising, units: &Units, s: &mut [i8]) {
+        // Unit pairs worth trying: units linked by at least one coupling.
+        let mut pair_set = std::collections::BTreeSet::new();
+        for &(a, b, _) in ising.couplings() {
+            let ua = units.unit_of[a.index()];
+            let ub = units.unit_of[b.index()];
+            if ua != ub {
+                pair_set.insert(if ua < ub { (ua, ub) } else { (ub, ua) });
+            }
+        }
+        let pairs: Vec<(u32, u32)> = pair_set.into_iter().collect();
+
+        loop {
+            let mut improved = false;
+            for i in 0..ising.num_spins() {
+                if ising.flip_delta(s, VarId::new(i)) < -1e-12 {
+                    s[i] = -s[i];
+                    improved = true;
+                }
+            }
+            for u in 0..units.len() {
+                if units.members[u].len() < 2 {
+                    continue;
+                }
+                if units.flip_delta(ising, s, u) < -1e-12 {
+                    units.apply_flip(s, u);
+                    improved = true;
+                }
+                for v in [1i8, -1] {
+                    if units.align_delta(ising, s, u, v) < -1e-12 {
+                        units.apply_align(s, u, v);
+                        improved = true;
+                    }
+                }
+            }
+            for &(a, b) in &pairs {
+                if units.pair_flip_delta(ising, s, a as usize, b as usize) < -1e-12 {
+                    units.apply_flip(s, a as usize);
+                    units.apply_flip(s, b as usize);
+                    improved = true;
+                }
+            }
+            if !improved {
+                return;
             }
         }
     }

@@ -8,9 +8,12 @@
 //! three from identical RNG states over random problems and assert
 //! byte-for-byte equality — and additionally pin the device protocol's
 //! thread-count invariance for every back-end, which now rides on the
-//! persistent worker pool.
+//! persistent worker pool. The behavioural oracle's descent, which skips
+//! moves whose inputs have not changed, is pinned the same way against the
+//! reference descent that re-evaluates every move.
 
-use mqo_annealer::behavioral::BehavioralSampler;
+use mqo_annealer::behavioral::{BehavioralSampler, UnitMoves};
+use mqo_annealer::clusters::Units;
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
 use mqo_annealer::sa::SimulatedAnnealingSampler;
 use mqo_annealer::sampler::{ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
@@ -19,7 +22,8 @@ use mqo_core::ids::VarId;
 use mqo_core::ising::Ising;
 use mqo_core::qubo::Qubo;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_ising() -> impl Strategy<Value = Ising> {
@@ -35,6 +39,43 @@ fn arb_ising() -> impl Strategy<Value = Ising> {
             Ising::new(h, couplings, 0.0)
         })
     })
+}
+
+/// A minor-embedded-looking problem of `n` spins: chains of 1–5 spins
+/// bonded at −3 or −4, small-integer fields and problem couplings (so
+/// exact-zero and tied deltas occur), then a random gauge, which turns
+/// the bonds of some chains antiferromagnetic. Returns the problem and its
+/// chains (the singletons included, as hints carry them).
+fn chained_problem(n: usize, seed: u64) -> (Ising, Vec<Vec<usize>>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    let mut chains = Vec::new();
+    let mut couplings = Vec::new();
+    let mut rest = &order[..];
+    while !rest.is_empty() {
+        let len = rng.gen_range(1..=5usize).min(rest.len());
+        let (chain, tail) = rest.split_at(len);
+        let bond = -f64::from(rng.gen_range(3..=4u8));
+        for w in chain.windows(2) {
+            couplings.push((VarId::new(w[0]), VarId::new(w[1]), bond));
+        }
+        chains.push(chain.to_vec());
+        rest = tail;
+    }
+    for _ in 0..2 * n {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            let w = f64::from(rng.gen_range(-2..=2i8));
+            couplings.push((VarId::new(a), VarId::new(b), w));
+        }
+    }
+    let h = (0..n).map(|_| f64::from(rng.gen_range(-2..=2i8))).collect();
+    let gauge: Vec<i8> = (0..n)
+        .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
+        .collect();
+    let ising = Ising::new(h, couplings, 0.0).gauge_transformed(&gauge);
+    (ising, chains)
 }
 
 /// Draws one sample through each of the three code paths from the same RNG
@@ -140,6 +181,68 @@ proptest! {
             read_seed,
             3,
         )?;
+    }
+
+    /// The oracle descent makes the reference descent's decisions: from the
+    /// same start it ends in the same state, with hinted chains (some
+    /// gauge-flipped) and with detected clusters.
+    #[test]
+    fn behavioral_descent_matches_reference(
+        n in 10usize..=60,
+        seed in 0u64..100_000,
+        hinted in 0u8..2,
+    ) {
+        let (ising, chains) = chained_problem(n, seed);
+        let units = if hinted == 1 {
+            Units::from_chains(&ising, &chains)
+        } else {
+            Units::detect(&ising, 0.5)
+        };
+        let moves = UnitMoves::new(&ising, &units);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for start in 0..4 {
+            let s: Vec<i8> = (0..n)
+                .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
+                .collect();
+            let mut fast = s.clone();
+            let mut reference = s;
+            BehavioralSampler::descend(&ising, &units, &moves, &mut fast);
+            BehavioralSampler::descend_reference(&ising, &units, &mut reference);
+            prop_assert_eq!(&fast, &reference, "descents diverged from start {}", start);
+        }
+    }
+
+    /// `program()` yields the oracle of the reference restart loop: the same
+    /// starts drawn from the same stream, each run through the reference
+    /// descent, the first lowest energy kept.
+    #[test]
+    fn behavioral_oracle_matches_reference_loop(
+        n in 10usize..=60,
+        seed in 0u64..100_000,
+        prog_seed in 0u64..1000,
+    ) {
+        let (ising, chains) = chained_problem(n, seed);
+        let sampler = BehavioralSampler::default();
+        let hints = SamplerHints { chains: &chains };
+        let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
+        let programmed = sampler.program(ising.clone(), &hints, &mut rng);
+
+        let units = Units::from_chains(&ising, &chains);
+        let mut rng_ref = ChaCha8Rng::seed_from_u64(prog_seed);
+        let mut best: Option<(f64, Vec<i8>)> = None;
+        for _ in 0..sampler.config().oracle_restarts {
+            let mut s: Vec<i8> = (0..n)
+                .map(|_| if rng_ref.gen::<bool>() { 1 } else { -1 })
+                .collect();
+            BehavioralSampler::descend_reference(&ising, &units, &mut s);
+            let e = ising.energy(&s);
+            if best.as_ref().is_none_or(|(be, _)| e < *be) {
+                best = Some((e, s));
+            }
+        }
+        let (_, oracle) = best.expect("at least one restart");
+        prop_assert_eq!(programmed.oracle(), &oracle[..]);
+        prop_assert_eq!(rng.next_u64(), rng_ref.next_u64(), "rng positions differ");
     }
 }
 

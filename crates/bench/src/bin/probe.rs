@@ -9,7 +9,7 @@
 //! Developer knobs (environment): `MQO_PROBE_SCALE`, `MQO_PROBE_COST_LEVELS`
 //! reshape the generated instance; `MQO_B_RESTARTS`, `MQO_B_SWEEPS`,
 //! `MQO_B_BETA`, `MQO_B_THRESH`, `MQO_B_NOISE` override the behavioural
-//! back-end; `MQO_B_DEBUG` prints unit statistics.
+//! back-end.
 
 use mqo::pipeline::QuantumMqoSolver;
 use mqo_annealer::behavioral::BehavioralSampler;
