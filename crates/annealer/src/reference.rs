@@ -13,21 +13,43 @@
 //! re-evaluates every move on every pass, where the fast descent skips the
 //! moves whose inputs have not changed, and both must end in the same state.
 //!
-//! Shared pieces guarantee the identity by construction: both sides use
-//! [`crate::sampler::metropolis_accept`] (same draw-skipping rules), the
-//! same delta expressions, and the same field-update expressions applied in
-//! the same CSR neighbour order. SA's early-freeze exit needs no mirror
-//! here — a frozen sweep consumes no randomness and flips nothing, so the
-//! reference's remaining sweeps are exact no-ops.
+//! The acceptance decision is *not* shared: the fast kernels call
+//! [`crate::sampler::metropolis_accept`], which decides most draws from a
+//! table without `exp`, and the kernels here call
+//! [`metropolis_accept_reference`], the plain `exp` comparison with the same
+//! draw-skipping rules. So the proptests check the table decision against
+//! the `exp` one on every draw of real read streams. The rest is the same
+//! on both sides by construction: the same delta expressions, and the same
+//! field-update expressions applied in the same CSR neighbour order. SA's
+//! early-freeze exit needs no mirror here — a frozen sweep consumes no
+//! randomness and flips nothing, so the reference's remaining sweeps are
+//! exact no-ops.
 
 use crate::behavioral::{BehavioralSampler, ProgrammedBehavioral};
 use crate::clusters::Units;
 use crate::sa::ProgrammedSa;
-use crate::sampler::metropolis_accept;
+use crate::sampler::METROPOLIS_EXP_CUTOFF;
 use crate::sqa::ProgrammedSqa;
 use mqo_core::ids::VarId;
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
+
+/// Reference Metropolis acceptance: accepts `delta <= 0` without a draw,
+/// rejects `−β·delta` below [`METROPOLIS_EXP_CUTOFF`] without a draw, and
+/// otherwise draws one 32-bit `u` and accepts iff
+/// `u < ⌊exp(−β·delta)·2³²⌋` (saturating cast). Every reference kernel
+/// calls it; [`crate::sampler::metropolis_accept`] must decide every draw
+/// the same way.
+pub fn metropolis_accept_reference<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) -> bool {
+    if delta <= 0.0 {
+        return true;
+    }
+    let arg = -beta * delta;
+    if arg < METROPOLIS_EXP_CUTOFF {
+        return false;
+    }
+    rng.next_u32() < (arg.exp() * 4_294_967_296.0) as u32
+}
 
 impl ProgrammedSa {
     /// Reference transcription of the SA kernel. Bit-identical to
@@ -49,7 +71,7 @@ impl ProgrammedSa {
         for &beta in &self.betas {
             for i in 0..n {
                 let delta = -2.0 * f64::from(out[i]) * fields[i];
-                if metropolis_accept(rng, beta, delta) {
+                if metropolis_accept_reference(rng, beta, delta) {
                     let flipped = -out[i];
                     out[i] = flipped;
                     let step = f64::from(flipped);
@@ -102,7 +124,7 @@ impl ProgrammedSqa {
                     let neighbours = f64::from(slices[up][i]) + f64::from(slices[down][i]);
                     let quantum = 2.0 * j_perp * si * neighbours;
                     let delta = classical + quantum;
-                    if metropolis_accept(rng, beta, delta) {
+                    if metropolis_accept_reference(rng, beta, delta) {
                         slices[k][i] = -slices[k][i];
                         let step = f64::from(slices[k][i]);
                         for (j, w) in ising.neighbours(VarId::new(i)) {
@@ -125,7 +147,7 @@ impl ProgrammedSqa {
                         let neighbours = f64::from(slices[up][i]) + f64::from(slices[down][i]);
                         delta += 2.0 * j_perp * si * neighbours;
                     }
-                    if metropolis_accept(rng, beta, delta) {
+                    if metropolis_accept_reference(rng, beta, delta) {
                         for &i in members {
                             slices[k][i] = -slices[k][i];
                         }
@@ -172,7 +194,7 @@ impl ProgrammedBehavioral {
         for _ in 0..self.config.read_sweeps {
             for i in 0..n {
                 let delta = -2.0 * f64::from(out[i]) * fields[i];
-                if metropolis_accept(rng, beta, delta) {
+                if metropolis_accept_reference(rng, beta, delta) {
                     let flipped = -out[i];
                     out[i] = flipped;
                     let step = f64::from(flipped);
@@ -186,7 +208,7 @@ impl ProgrammedBehavioral {
                     continue;
                 }
                 let delta = units.flip_delta(ising, out, u);
-                if metropolis_accept(rng, beta, delta) {
+                if metropolis_accept_reference(rng, beta, delta) {
                     units.apply_flip(out, u);
                     for &i in &units.members[u] {
                         let step = f64::from(out[i]);

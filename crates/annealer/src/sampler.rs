@@ -24,7 +24,7 @@ use rand_chacha::ChaCha8Rng;
 /// the kernels exact rather than approximate.
 pub const METROPOLIS_EXP_CUTOFF: f64 = -22.181;
 
-/// The shared Metropolis acceptance rule of every annealing kernel.
+/// The shared Metropolis acceptance rule of every fast annealing kernel.
 ///
 /// Downhill and neutral moves (`delta <= 0`) are accepted without a draw;
 /// hopeless uphill moves (`−β·delta` below [`METROPOLIS_EXP_CUTOFF`]) are
@@ -33,9 +33,13 @@ pub const METROPOLIS_EXP_CUTOFF: f64 = -22.181;
 /// cast *is* that floor for this argument range). A 32-bit acceptance
 /// draw quantizes probabilities to multiples of `2⁻³²` — far below
 /// anything an annealing schedule can resolve — and costs half the
-/// random bytes of a 53-bit uniform. Fast and reference kernels both
-/// call this helper, so their draw sequences and outputs are
-/// bit-identical by construction.
+/// random bytes of a 53-bit uniform.
+///
+/// The comparison is decided by [`bounded_accept`] from the draw's float
+/// bucket; `exp` runs only for the ~0.1 % of draws whose bucket straddles
+/// the threshold. The decision is the one
+/// [`crate::reference::metropolis_accept_reference`] makes, draw for draw,
+/// which the reference kernels and `tests/proptest_kernels.rs` pin.
 #[inline]
 pub fn metropolis_accept<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) -> bool {
     if delta <= 0.0 {
@@ -45,7 +49,123 @@ pub fn metropolis_accept<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) ->
     if arg < METROPOLIS_EXP_CUTOFF {
         return false;
     }
-    rng.next_u32() < (arg.exp() * 4_294_967_296.0) as u32
+    let u = rng.next_u32();
+    match bounded_accept(u, arg) {
+        Some(accept) => accept,
+        None => exact_accept(u, arg),
+    }
+}
+
+/// The acceptance comparison with `exp` evaluated: the fallback of
+/// [`metropolis_accept`] when [`bounded_accept`] cannot call the draw.
+#[cold]
+#[inline(never)]
+fn exact_accept(u: u32, arg: f64) -> bool {
+    u < (arg.exp() * 4_294_967_296.0) as u32
+}
+
+/// Decides `u < ⌊exp(arg)·2³²⌋` (saturating cast) without `exp`, or
+/// returns `None` when the draw is too close to the threshold to call.
+///
+/// *Restating the test.* Let `v = u + 1`, exact as an `f64` in `1..=2³²`,
+/// and `P = fl(exp(arg))·2³²` (the scaling is exact). If `u = u32::MAX`
+/// the saturated cast is at most `u32::MAX`, so the test rejects for every
+/// `arg`. Otherwise `u < ⌊P⌋_sat ⟺ v ≤ P`: below `2³²` because `v` is an
+/// integer, and at or above `2³²` both sides hold since `v < 2³²`.
+///
+/// *Bucketing the draw.* Write `v = 2^e·(1+f)` with `e` (`0..=32`) from
+/// the exponent bits and bucket `m` (`0..256`) from the top 8 mantissa
+/// bits, so `2^e·(1+m/256) ≤ v < 2^e·(1+(m+1)/256)`. With
+/// `t = arg + (32−e)·ln 2`, `v ≤ P` is `ln(v/2^e) ≤ t` up to the rounding
+/// of `exp`; the bucket brackets `ln(v/2^e)` between `ln(1+m/256)` and
+/// `ln(1+(m+1)/256)`. So `t ≥ ACCEPT_AT[m]` accepts, `t < REJECT_BELOW[m]`
+/// rejects, and anything between is `None`.
+///
+/// *Why the margin makes it exact.* Both tables sit `LN_MARGIN` = 1e-9
+/// outside the bucket's log edges. Every error is far below that in the
+/// log domain: `t` and the table entries round by less than 1e-14 (for
+/// `arg` in `[METROPOLIS_EXP_CUTOFF, 0]`, `|arg|, |(32−e)·ln 2| ≤ 22.2`,
+/// and the const-evaluated `ln` is good to ~1e-16), and libm `exp` is off
+/// by about one ulp, ≈ 2.2e-16 relative. So `t ≥ ACCEPT_AT[m]` proves
+/// `P > v·(1 + ~1e-9)` and `t < REJECT_BELOW[m]` proves `P < v·(1 − ~1e-9)`:
+/// each decision taken here is the one the `exp` expression takes.
+///
+/// *Edge cases.* `e = 32` happens only for `u = u32::MAX`, whose test
+/// always rejects; its scale is `−∞`, so `t = −∞` rejects (a NaN `t`,
+/// from `arg = +∞`, returns `None`). `arg = −0.0`, `−f64::MIN_POSITIVE`
+/// and other `arg` near 0 make `fl(exp(arg)) = 1`, the saturated case:
+/// every `u < u32::MAX` accepts, and the bucket accepts them all except
+/// the top bucket of `e = 31`, whose `t = ln 2` lies between its two
+/// bounds and falls back. Positive `arg` (negative β) gives `t ≥ ln 2`, which no
+/// bucket rejects, and `P ≥ 2³²`, where every `u < u32::MAX` accepts.
+#[inline]
+#[must_use]
+pub fn bounded_accept(u: u32, arg: f64) -> Option<bool> {
+    let bits = (f64::from(u) + 1.0).to_bits();
+    let e = ((bits >> 52) - 1023) as usize;
+    let m = ((bits >> 44) & 0xff) as usize;
+    let t = arg + LN_SCALE[e];
+    if t >= ACCEPT_AT[m] {
+        Some(true)
+    } else if t < REJECT_BELOW[m] {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Log-domain margin of the bucket tables, far above every rounding error
+/// of [`bounded_accept`]'s inputs (< 1e-14) and far below a bucket's width
+/// (≈ 2.0e-3 to 3.9e-3), so it adds almost no fallbacks.
+const LN_MARGIN: f64 = 1e-9;
+
+/// `REJECT_BELOW[m] = ln(1 + m/256) − LN_MARGIN`: below it, every draw of
+/// bucket `m` rejects.
+static REJECT_BELOW: [f64; 256] = bucket_edges(0.0, -LN_MARGIN);
+
+/// `ACCEPT_AT[m] = ln(1 + (m+1)/256) + LN_MARGIN`: at or above it, every
+/// draw of bucket `m` accepts.
+static ACCEPT_AT: [f64; 256] = bucket_edges(1.0, LN_MARGIN);
+
+/// `LN_SCALE[e] = (32 − e)·ln 2` moves `arg` from the `2³²` scale of the
+/// draw to the `[1, 2)` scale of its mantissa; `e = 32` (only `u =
+/// u32::MAX`, which never accepts) maps to `−∞`.
+static LN_SCALE: [f64; 33] = {
+    let mut table = [f64::NEG_INFINITY; 33];
+    let mut e = 0;
+    while e < 32 {
+        table[e] = (32 - e) as f64 * std::f64::consts::LN_2;
+        e += 1;
+    }
+    table
+};
+
+/// `ln(1 + (m + offset)/256) + margin` for every bucket `m`.
+const fn bucket_edges(offset: f64, margin: f64) -> [f64; 256] {
+    let mut table = [0.0; 256];
+    let mut m = 0;
+    while m < 256 {
+        table[m] = ln_1_to_2(1.0 + (m as f64 + offset) / 256.0) + margin;
+        m += 1;
+    }
+    table
+}
+
+/// `ln x` for `x ∈ [1, 2]`, evaluable in const context: `2·atanh(z)` with
+/// `z = (x−1)/(x+1) ≤ 1/3`, whose series terms fall below `1e-28` by the
+/// 30th; accurate to a few ulps.
+const fn ln_1_to_2(x: f64) -> f64 {
+    let z = (x - 1.0) / (x + 1.0);
+    let z2 = z * z;
+    let mut power = z;
+    let mut sum = 0.0;
+    let mut k = 1;
+    while k < 60 {
+        sum += power / k as f64;
+        power *= z2;
+        k += 2;
+    }
+    2.0 * sum
 }
 
 /// Reusable per-worker buffers threaded through
@@ -337,6 +457,23 @@ mod tests {
             elapsed_us: t,
             gauge: 0,
         }
+    }
+
+    #[test]
+    fn bucket_tables_match_libm_logarithms() {
+        for m in 0..256 {
+            let lo = (1.0 + m as f64 / 256.0).ln();
+            let hi = (1.0 + (m + 1) as f64 / 256.0).ln();
+            assert!(
+                (REJECT_BELOW[m] + LN_MARGIN - lo).abs() < 1e-15,
+                "bucket {m}"
+            );
+            assert!((ACCEPT_AT[m] - LN_MARGIN - hi).abs() < 1e-15, "bucket {m}");
+        }
+        for (e, &scale) in LN_SCALE[..32].iter().enumerate() {
+            assert_eq!(scale, (32 - e) as f64 * std::f64::consts::LN_2);
+        }
+        assert_eq!(LN_SCALE[32], f64::NEG_INFINITY);
     }
 
     #[test]

@@ -10,18 +10,26 @@
 //! thread-count invariance for every back-end, which now rides on the
 //! persistent worker pool. The behavioural oracle's descent, which skips
 //! moves whose inputs have not changed, is pinned the same way against the
-//! reference descent that re-evaluates every move.
+//! reference descent that re-evaluates every move. The fast kernels'
+//! Metropolis decision, taken from the draw's float bucket without `exp`,
+//! is pinned against the reference `exp` comparison on single draws too:
+//! random, near the threshold, at every bucket edge and at the endpoints.
 
 use mqo_annealer::behavioral::{BehavioralSampler, UnitMoves};
 use mqo_annealer::clusters::Units;
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
+use mqo_annealer::reference::metropolis_accept_reference;
 use mqo_annealer::sa::SimulatedAnnealingSampler;
-use mqo_annealer::sampler::{ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
+use mqo_annealer::sampler::{
+    bounded_accept, metropolis_accept, ProgrammedSampler, ReadScratch, Sampler, SamplerHints,
+    METROPOLIS_EXP_CUTOFF,
+};
 use mqo_annealer::sqa::{PathIntegralQmcSampler, SqaConfig};
 use mqo_core::ids::VarId;
 use mqo_core::ising::Ising;
 use mqo_core::qubo::Qubo;
 use proptest::prelude::*;
+use rand::rngs::mock::StepRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -303,4 +311,126 @@ fn sqa_device_runs_are_thread_invariant() {
 #[test]
 fn behavioral_device_runs_are_thread_invariant() {
     assert_thread_invariant(BehavioralSampler::default(), 19);
+}
+
+/// The fast and reference Metropolis decisions on draw `u` at exponent
+/// `arg` (as `β = −arg`, `delta = 1`, so `−β·delta` is `arg` exactly),
+/// after checking that a bucket decision, where one is taken, agrees too.
+fn decisions(u: u32, arg: f64) -> (bool, bool) {
+    let (beta, delta) = (-arg, 1.0);
+    let fast = metropolis_accept(&mut StepRng::new(u64::from(u), 0), beta, delta);
+    let reference = metropolis_accept_reference(&mut StepRng::new(u64::from(u), 0), beta, delta);
+    if let Some(bounded) = bounded_accept(u, arg) {
+        assert_eq!(
+            bounded, reference,
+            "bucket decision, u = {u}, arg = {arg:e}"
+        );
+    }
+    (fast, reference)
+}
+
+/// `x` moved one ulp toward `+∞` (`up`) or `−∞`.
+fn next_float(x: f64, up: bool) -> f64 {
+    if x == 0.0 {
+        let tiny = f64::from_bits(1);
+        return if up { tiny } else { -tiny };
+    }
+    let bits = x.to_bits();
+    f64::from_bits(if (x > 0.0) == up { bits + 1 } else { bits - 1 })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Uniform draws over the whole drawing range of the exponent.
+    #[test]
+    fn metropolis_decision_matches_reference(
+        u in any::<u32>(),
+        arg in METROPOLIS_EXP_CUTOFF..0.0f64,
+    ) {
+        let (fast, reference) = decisions(u, arg);
+        prop_assert_eq!(fast, reference, "u = {}, arg = {:e}", u, arg);
+    }
+
+    /// Exponents within 1e-8 of the draw's own threshold `ln((u+1)/2³²)`,
+    /// where the bucket bounds are tightest and the fallback runs.
+    #[test]
+    fn metropolis_decision_matches_reference_near_threshold(
+        u in any::<u32>(),
+        offset in -1e-8..1e-8f64,
+    ) {
+        let arg = ((f64::from(u) + 1.0) / 4_294_967_296.0).ln() + offset;
+        let (fast, reference) = decisions(u, arg);
+        prop_assert_eq!(fast, reference, "u = {}, arg = {:e}", u, arg);
+    }
+}
+
+/// Every bucket `(e, m)`: draws at its lower edge and one either side, at
+/// exponents within ±4 ulps of each draw's exact threshold.
+#[test]
+fn metropolis_decision_matches_reference_at_every_bucket_edge() {
+    let mut checked = 0usize;
+    for e in 0..=32u32 {
+        for m in 0..256u64 {
+            let edge = ((256 + m) << e).div_ceil(256);
+            for v in [edge - 1, edge, edge + 1] {
+                if !(1..=1u64 << 32).contains(&v) {
+                    continue;
+                }
+                let u = (v - 1) as u32;
+                let threshold = (v as f64 / 4_294_967_296.0).ln();
+                for ulps in -4i32..=4 {
+                    let mut arg = threshold;
+                    for _ in 0..ulps.unsigned_abs() {
+                        arg = next_float(arg, ulps > 0);
+                    }
+                    let (fast, reference) = decisions(u, arg);
+                    assert_eq!(fast, reference, "e = {e}, m = {m}, u = {u}, arg = {arg:e}");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 33 * 256 * 9, "the sweep covers every bucket");
+}
+
+/// The extreme draws at the cutoff and at exponents that round `exp` to 1,
+/// where the saturating cast decides: `u32::MAX` never accepts.
+#[test]
+fn metropolis_decision_matches_reference_at_endpoints() {
+    for u in [0, 1, u32::MAX - 1, u32::MAX] {
+        for arg in [METROPOLIS_EXP_CUTOFF, -0.0, -f64::MIN_POSITIVE, -1e-300] {
+            let (fast, reference) = decisions(u, arg);
+            assert_eq!(fast, reference, "u = {u}, arg = {arg:e}");
+            if arg != METROPOLIS_EXP_CUTOFF {
+                assert_eq!(
+                    fast,
+                    u != u32::MAX,
+                    "saturated cast, u = {u}, arg = {arg:e}"
+                );
+            }
+        }
+    }
+}
+
+/// The bucket leaves fewer than 1 % of seeded uniform draws to `exp`, and
+/// every draw agrees with the reference.
+#[test]
+fn bounded_accept_rarely_falls_back() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x3e7a);
+    let draws = 1_000_000;
+    let mut fallbacks = 0;
+    for _ in 0..draws {
+        let u = rng.next_u32();
+        let arg = rng.gen_range(METROPOLIS_EXP_CUTOFF..0.0);
+        if bounded_accept(u, arg).is_none() {
+            fallbacks += 1;
+        }
+        let (fast, reference) = decisions(u, arg);
+        assert_eq!(fast, reference, "u = {u}, arg = {arg:e}");
+    }
+    assert!(
+        fallbacks * 100 < draws,
+        "{fallbacks} of {draws} draws fell back"
+    );
 }

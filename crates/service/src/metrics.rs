@@ -101,6 +101,19 @@ impl LatencyHistogram {
             buckets,
         }
     }
+
+    /// Snapshot of a histogram that records plain counts rather than
+    /// microseconds, under unitless keys.
+    pub fn count_snapshot(&self) -> CountHistogramSnapshot {
+        let s = self.snapshot();
+        CountHistogramSnapshot {
+            count: s.count,
+            mean: s.mean_us,
+            p50: s.p50_us,
+            p99: s.p99_us,
+            buckets: s.buckets,
+        }
+    }
 }
 
 /// Serialisable view of a [`LatencyHistogram`].
@@ -115,6 +128,23 @@ pub struct HistogramSnapshot {
     /// 99th-percentile upper-bound estimate, microseconds.
     pub p99_us: u64,
     /// Raw bucket counts (`buckets[i]` covers `[2^i, 2^(i+1))` µs).
+    pub buckets: Vec<u64>,
+}
+
+/// Serialisable view of a [`LatencyHistogram`] that records counts (such
+/// as requests per connection): [`HistogramSnapshot`]'s figures without
+/// the µs unit in their keys.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct CountHistogramSnapshot {
+    /// Observations recorded.
+    pub count: u64,
+    /// Mean observed value.
+    pub mean: f64,
+    /// Median upper-bound estimate.
+    pub p50: u64,
+    /// 99th-percentile upper-bound estimate.
+    pub p99: u64,
+    /// Raw bucket counts (`buckets[i]` covers values in `[2^i, 2^(i+1))`).
     pub buckets: Vec<u64>,
 }
 
@@ -162,7 +192,7 @@ pub struct Metrics {
     /// Accepts per event-loop shard (slot = `shard_id % 16`).
     pub shard_accepts: [AtomicU64; MAX_TRACKED_SHARDS],
     /// Requests served per connection, recorded when the connection closes
-    /// (log₂ buckets; the `_us` field names are generic counts here).
+    /// (log₂ buckets of a count, snapshotted with unitless keys).
     pub requests_per_connection: LatencyHistogram,
     /// Worker panics caught and isolated by `catch_unwind`.
     pub worker_panics_caught: AtomicU64,
@@ -274,7 +304,7 @@ impl Metrics {
             pipelined_requests: load(&self.pipelined_requests),
             event_loop_wakeups: load(&self.event_loop_wakeups),
             shard_accepts: self.shard_accepts.iter().map(load).collect(),
-            requests_per_connection: self.requests_per_connection.snapshot(),
+            requests_per_connection: self.requests_per_connection.count_snapshot(),
             worker_panics_caught: load(&self.worker_panics_caught),
             conn_panics_caught: load(&self.conn_panics_caught),
             chaos_panics_injected: load(&self.chaos_panics_injected),
@@ -359,7 +389,7 @@ pub struct MetricsSnapshot {
     pub shard_accepts: Vec<u64>,
     /// Requests served per connection at close time (log₂ buckets).
     #[serde(default)]
-    pub requests_per_connection: HistogramSnapshot,
+    pub requests_per_connection: CountHistogramSnapshot,
     /// Worker panics caught and isolated.
     pub worker_panics_caught: u64,
     /// Connection-handler panics caught.
@@ -506,5 +536,25 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.requests_total, 1);
         assert_eq!(back.solve_latency.count, 1);
+    }
+
+    #[test]
+    fn count_histograms_serialise_unitless_keys() {
+        let m = Metrics::default();
+        m.requests_per_connection.record(3);
+        m.solve_latency.record(500);
+        let json = serde_json::to_string(&m.snapshot()).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let counts = &v["requests_per_connection"];
+        for key in ["count", "mean", "p50", "p99", "buckets"] {
+            assert!(counts.get(key).is_some(), "count histogram lacks {key}");
+        }
+        for key in ["mean_us", "p50_us", "p99_us"] {
+            assert!(counts.get(key).is_none(), "count histogram has {key}");
+        }
+        assert_eq!(counts["mean"].as_f64(), Some(3.0));
+        for key in ["mean_us", "p50_us", "p99_us"] {
+            assert!(v["solve_latency"].get(key).is_some(), "latency lacks {key}");
+        }
     }
 }
