@@ -10,9 +10,9 @@
 //! automatic switch to Bland's rule after a run of degenerate pivots, which
 //! guarantees termination.
 //!
-//! This solver backs the LP relaxations of the branch-and-bound in
-//! [`crate::bb`], playing the role of the commercial ILP solver used for the
-//! paper's LIN-MQO and LIN-QUB baselines.
+//! This solver backs the LP relaxations of the branch-and-bound solvers in
+//! [`crate::bb_mqo`] and [`crate::bb_qubo`], playing the role of the
+//! commercial ILP solver used for the paper's LIN-MQO and LIN-QUB baselines.
 
 use crate::model::{LinearProgram, Sense};
 

@@ -2,17 +2,9 @@
 //!
 //! ```text
 //! mqo_router --cells 127.0.0.1:7700,127.0.0.1:7701 [--addr 127.0.0.1:7600]
-//!            [--forwarders N] [--epsilon F] [--io-timeout-ms N]
+//!            [--supervise 'CMD --addr {addr}']
 //!            [--breaker-threshold N] [--breaker-open-ms N]
-//!            [--warm-exemplars N] [--response-cache N] [--max-connections N]
-//!            [--request-deadline-ms N] [--accept-shards N] [--max-pipeline N]
-//!            [--failover-budget-ms N] [--journal-depth N]
-//!            [--failover-rounds N] [--round-backoff-ms N]
-//!            [--supervise 'CMD --addr {addr}'] [--supervise-cell I:CMD]
-//!            [--probe-interval-ms N] [--probe-timeout-ms N] [--probe-failures N]
 //!            [--backoff-initial-ms N] [--backoff-max-ms N]
-//!            [--crash-loop-threshold N] [--crash-loop-window-ms N]
-//!            [--startup-timeout-ms N]
 //!            [--chaos-kill-seed N] [--chaos-kills N]
 //!            [--chaos-kill-min-ms N] [--chaos-kill-max-ms N]
 //! ```
@@ -28,10 +20,10 @@
 //! (whitespace-split; `{addr}` substitutes the cell address) is spawned
 //! once per `--cells` entry, dead cells respawn with exponential backoff,
 //! and crash-looping cells are quarantined with their shard range remapped
-//! onto the survivors. `--supervise-cell I:CMD` overrides the template for
-//! cell I (useful for canaries). The `--chaos-kill-*` flags arm a seeded
-//! kill schedule that SIGKILLs supervised cells at deterministic times —
-//! the fleet-chaos proof harness.
+//! onto the survivors. The `--chaos-kill-*` flags arm a seeded kill
+//! schedule that SIGKILLs supervised cells at deterministic times — the
+//! fleet-chaos proof harness. Every other setting keeps the library
+//! default of [`MqoRouterConfig::new`] and [`SupervisorConfig::new`].
 //!
 //! Prints `listening on <addr>` (scripts parse that line), serves until
 //! `POST /shutdown`, then prints `drained and stopped` after the router
@@ -40,35 +32,38 @@
 use mqo_service::shard::{MqoRouter, MqoRouterConfig};
 use mqo_service::supervisor::SupervisorConfig;
 
-struct Options {
-    config: MqoRouterConfig,
-}
+const HELP: &str = "mqo_router: structure-sharded front for mqo_serve cells
+--cells A,B,...     upstream cell addresses (required)
+--addr A            bind address (default 127.0.0.1:7600)
+--supervise CMD     spawn each cell from this template ({addr} substituted)
+--breaker-threshold N  consecutive failures that open a cell breaker (5)
+--breaker-open-ms N    cell breaker cooling period (1000)
+--backoff-initial-ms N respawn backoff seed (100)
+--backoff-max-ms N     respawn backoff cap (5000)
+--chaos-kill-seed N / --chaos-kills N  seeded SIGKILL schedule (off)
+--chaos-kill-min-ms N / --chaos-kill-max-ms N  kill delay bounds (100/2000)";
 
-fn parse_options() -> Result<Options, String> {
-    let mut cells: Vec<String> = Vec::new();
+fn parse_config() -> Result<MqoRouterConfig, String> {
     let mut config = MqoRouterConfig::new(Vec::new());
     config.addr = "127.0.0.1:7600".to_string();
-    // Supervision knobs are collected first and assembled once the cell
-    // list is known (flag order must not matter).
+    // Supervision settings are collected first and attached once the flags
+    // are read (flag order must not matter).
     let mut supervise_template: Option<Vec<String>> = None;
-    let mut cell_overrides: Vec<(usize, Vec<String>)> = Vec::new();
-    let mut sup_defaults = SupervisorConfig::new(Vec::new(), Vec::new());
+    let mut sup = SupervisorConfig::new(Vec::new(), 0);
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--addr" => config.addr = value("--addr")?,
             "--cells" => {
-                cells = value("--cells")?
+                config.cells = value("--cells")?
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect()
             }
-            "--forwarders" => config.forwarders = parse(&value("--forwarders")?, "--forwarders")?,
-            "--epsilon" => config.epsilon = parse(&value("--epsilon")?, "--epsilon")?,
-            "--io-timeout-ms" => {
-                config.io_timeout_ms = parse(&value("--io-timeout-ms")?, "--io-timeout-ms")?
+            "--supervise" => {
+                supervise_template = Some(split_command(&value("--supervise")?, "--supervise")?)
             }
             "--breaker-threshold" => {
                 config.breaker.failure_threshold =
@@ -77,165 +72,42 @@ fn parse_options() -> Result<Options, String> {
             "--breaker-open-ms" => {
                 config.breaker.open_ms = parse(&value("--breaker-open-ms")?, "--breaker-open-ms")?
             }
-            "--warm-exemplars" => {
-                config.warm_exemplars = parse(&value("--warm-exemplars")?, "--warm-exemplars")?
-            }
-            "--response-cache" => {
-                config.response_cache = parse(&value("--response-cache")?, "--response-cache")?
-            }
-            "--failover-budget-ms" => {
-                config.failover.budget_ms =
-                    parse(&value("--failover-budget-ms")?, "--failover-budget-ms")?
-            }
-            "--journal-depth" => {
-                config.failover.journal_depth =
-                    parse(&value("--journal-depth")?, "--journal-depth")?
-            }
-            "--failover-rounds" => {
-                config.failover.rounds = parse(&value("--failover-rounds")?, "--failover-rounds")?
-            }
-            "--round-backoff-ms" => {
-                config.failover.round_backoff_ms =
-                    parse(&value("--round-backoff-ms")?, "--round-backoff-ms")?
-            }
-            "--max-connections" => {
-                config.max_connections = parse(&value("--max-connections")?, "--max-connections")?
-            }
-            "--request-deadline-ms" => {
-                config.request_deadline_ms =
-                    parse(&value("--request-deadline-ms")?, "--request-deadline-ms")?
-            }
-            "--accept-shards" => {
-                config.accept_shards = parse(&value("--accept-shards")?, "--accept-shards")?
-            }
-            "--max-pipeline" => {
-                config.max_pipeline = parse(&value("--max-pipeline")?, "--max-pipeline")?
-            }
-            "--supervise" => {
-                supervise_template = Some(split_command(&value("--supervise")?, "--supervise")?)
-            }
-            "--supervise-cell" => {
-                let spec = value("--supervise-cell")?;
-                let (index, command) = spec
-                    .split_once(':')
-                    .ok_or_else(|| format!("--supervise-cell wants INDEX:COMMAND, got {spec:?}"))?;
-                let index: usize = parse(index, "--supervise-cell index")?;
-                cell_overrides.push((index, split_command(command, "--supervise-cell")?));
-            }
-            "--probe-interval-ms" => {
-                sup_defaults.probe_interval_ms =
-                    parse(&value("--probe-interval-ms")?, "--probe-interval-ms")?
-            }
-            "--probe-timeout-ms" => {
-                sup_defaults.probe_timeout_ms =
-                    parse(&value("--probe-timeout-ms")?, "--probe-timeout-ms")?
-            }
-            "--probe-failures" => {
-                sup_defaults.probe_failure_threshold =
-                    parse(&value("--probe-failures")?, "--probe-failures")?
-            }
             "--backoff-initial-ms" => {
-                sup_defaults.backoff_initial_ms =
+                sup.respawn.backoff_initial_ms =
                     parse(&value("--backoff-initial-ms")?, "--backoff-initial-ms")?
             }
             "--backoff-max-ms" => {
-                sup_defaults.backoff_max_ms =
-                    parse(&value("--backoff-max-ms")?, "--backoff-max-ms")?
-            }
-            "--crash-loop-threshold" => {
-                sup_defaults.crash_loop_threshold =
-                    parse(&value("--crash-loop-threshold")?, "--crash-loop-threshold")?
-            }
-            "--crash-loop-window-ms" => {
-                sup_defaults.crash_loop_window_ms =
-                    parse(&value("--crash-loop-window-ms")?, "--crash-loop-window-ms")?
-            }
-            "--startup-timeout-ms" => {
-                sup_defaults.startup_timeout_ms =
-                    parse(&value("--startup-timeout-ms")?, "--startup-timeout-ms")?
+                sup.respawn.backoff_max_ms = parse(&value("--backoff-max-ms")?, "--backoff-max-ms")?
             }
             "--chaos-kill-seed" => {
-                sup_defaults.kill_schedule.seed =
-                    parse(&value("--chaos-kill-seed")?, "--chaos-kill-seed")?
+                sup.kill_schedule.seed = parse(&value("--chaos-kill-seed")?, "--chaos-kill-seed")?
             }
             "--chaos-kills" => {
-                sup_defaults.kill_schedule.kills = parse(&value("--chaos-kills")?, "--chaos-kills")?
+                sup.kill_schedule.kills = parse(&value("--chaos-kills")?, "--chaos-kills")?
             }
             "--chaos-kill-min-ms" => {
-                sup_defaults.kill_schedule.min_delay_ms =
+                sup.kill_schedule.min_delay_ms =
                     parse(&value("--chaos-kill-min-ms")?, "--chaos-kill-min-ms")?
             }
             "--chaos-kill-max-ms" => {
-                sup_defaults.kill_schedule.max_delay_ms =
+                sup.kill_schedule.max_delay_ms =
                     parse(&value("--chaos-kill-max-ms")?, "--chaos-kill-max-ms")?
             }
             "--help" | "-h" => {
-                println!(
-                    "mqo_router: structure-sharded front for mqo_serve cells\n\
-                     --cells A,B,...     upstream cell addresses (required)\n\
-                     --addr A            bind address (default 127.0.0.1:7600)\n\
-                     --forwarders N      forwarder threads (4)\n\
-                     --epsilon F         logical-QUBO epsilon for the shard key (0.25)\n\
-                     --io-timeout-ms N   upstream connect/read/write timeout (10000)\n\
-                     --breaker-threshold N  consecutive failures that open a cell breaker (5)\n\
-                     --breaker-open-ms N    cell breaker cooling period (1000)\n\
-                     --warm-exemplars N  exemplar requests replayed on cell recovery, 0 = off (32)\n\
-                     --response-cache N  idempotent-repeat response cache entries, 0 = off (128)\n\
-                     --failover-budget-ms N  replay window for deadline-less requests (2000)\n\
-                     --journal-depth N   outstanding requests per shard, 0 = unbounded (64)\n\
-                     --failover-rounds N fleet passes before giving up (4)\n\
-                     --round-backoff-ms N  pause between fleet passes (25)\n\
-                     --max-connections N   client-side connection cap (256)\n\
-                     --request-deadline-ms N  client-side read deadline (10000)\n\
-                     --accept-shards N   event-loop accept shards (2)\n\
-                     --max-pipeline N    pipelined requests per connection cap (32)\n\
-                     --supervise CMD     spawn each cell from this template ({{addr}} substituted)\n\
-                     --supervise-cell I:CMD  override the template for cell I\n\
-                     --probe-interval-ms N  /healthz probe cadence (200)\n\
-                     --probe-timeout-ms N   per-probe deadline (500)\n\
-                     --probe-failures N     consecutive probe failures before restart, 0 = off (3)\n\
-                     --backoff-initial-ms N respawn backoff seed (100)\n\
-                     --backoff-max-ms N     respawn backoff cap (5000)\n\
-                     --crash-loop-threshold N  rapid crashes before quarantine, 0 = never (5)\n\
-                     --crash-loop-window-ms N  uptime below this counts as a rapid crash (10000)\n\
-                     --startup-timeout-ms N  fleet readiness deadline (30000)\n\
-                     --chaos-kill-seed N / --chaos-kills N  seeded SIGKILL schedule (off)\n\
-                     --chaos-kill-min-ms N / --chaos-kill-max-ms N  kill delay bounds (100/2000)"
-                );
+                println!("{HELP}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if cells.is_empty() {
+    if config.cells.is_empty() {
         return Err("--cells is required (comma-separated mqo_serve addresses)".to_string());
     }
     if let Some(template) = supervise_template {
-        let mut sup = SupervisorConfig::new(template, cells.clone());
-        sup.probe_interval_ms = sup_defaults.probe_interval_ms;
-        sup.probe_timeout_ms = sup_defaults.probe_timeout_ms;
-        sup.probe_failure_threshold = sup_defaults.probe_failure_threshold;
-        sup.backoff_initial_ms = sup_defaults.backoff_initial_ms;
-        sup.backoff_max_ms = sup_defaults.backoff_max_ms;
-        sup.crash_loop_threshold = sup_defaults.crash_loop_threshold;
-        sup.crash_loop_window_ms = sup_defaults.crash_loop_window_ms;
-        sup.startup_timeout_ms = sup_defaults.startup_timeout_ms;
-        sup.kill_schedule = sup_defaults.kill_schedule;
-        for (index, command) in cell_overrides {
-            if index >= sup.commands.len() {
-                return Err(format!(
-                    "--supervise-cell index {index} out of range ({} cells)",
-                    sup.commands.len()
-                ));
-            }
-            sup.commands[index] = command;
-        }
+        sup.commands = vec![template; config.cells.len()];
         config.supervisor = Some(sup);
-    } else if !cell_overrides.is_empty() {
-        return Err("--supervise-cell requires --supervise".to_string());
     }
-    config.cells = cells;
-    Ok(Options { config })
+    Ok(config)
 }
 
 /// Splits a command template on whitespace; `{addr}` placeholders survive
@@ -255,15 +127,15 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
 }
 
 fn main() {
-    let opts = match parse_options() {
-        Ok(o) => o,
+    let config = match parse_config() {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("mqo_router: {e} (try --help)");
             std::process::exit(2);
         }
     };
-    let supervised = opts.config.supervisor.is_some();
-    let router = match MqoRouter::start(opts.config) {
+    let supervised = config.supervisor.is_some();
+    let router = match MqoRouter::start(config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mqo_router: cannot start: {e}");

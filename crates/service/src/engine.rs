@@ -35,6 +35,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Weight slack ε of both mapping stages (paper: 0.25). Every cell solves
+/// with it and the router builds its shard key with it, so the key mirrors
+/// the cells' cache key.
+pub const EPSILON: f64 = 0.25;
+
 /// Engine configuration. [`EngineConfig::new`] applies service defaults
 /// sized for interactive latency (100 reads, not the paper's offline 1000).
 #[derive(Debug, Clone)]
@@ -45,7 +50,7 @@ pub struct EngineConfig {
     pub device: DeviceConfig,
     /// Fault-tolerance policy of the pipeline.
     pub resilience: ResilienceConfig,
-    /// Weight slack ε of both mapping stages (paper: 0.25).
+    /// Weight slack ε of both mapping stages ([`EPSILON`]).
     pub epsilon: f64,
     /// LRU bound of the embedding cache (0 disables caching).
     pub cache_capacity: usize,
@@ -61,16 +66,10 @@ pub struct EngineConfig {
     pub breaker: BreakerConfig,
     /// Deterministic chaos injection (inert by default).
     pub chaos: ChaosConfig,
-    /// Whether every successful answer is re-validated (feasibility + cost
-    /// recomputation) before it is served. On by default; turning it off is
-    /// a bench-only escape hatch.
-    pub verify_gate: bool,
     /// Whether a gate failure is deterministically repaired (min-delta
     /// settle + bounded descent) and re-verified instead of rejected with a
     /// typed 500.
     pub integrity_repair: bool,
-    /// Relative tolerance of the gate's cost comparison.
-    pub integrity_tolerance: f64,
 }
 
 impl EngineConfig {
@@ -84,7 +83,7 @@ impl EngineConfig {
                 ..DeviceConfig::default()
             },
             resilience: ResilienceConfig::default(),
-            epsilon: 0.25,
+            epsilon: EPSILON,
             cache_capacity: 128,
             router: RouterConfig::default(),
             embed_tries: 16,
@@ -92,9 +91,7 @@ impl EngineConfig {
             max_reads: 10_000,
             breaker: BreakerConfig::default(),
             chaos: ChaosConfig::NONE,
-            verify_gate: true,
             integrity_repair: true,
-            integrity_tolerance: DEFAULT_TOLERANCE,
         }
     }
 }
@@ -281,15 +278,12 @@ impl SolveEngine {
     /// withheld as a typed `500 integrity_violation`. Never serves an
     /// answer it could not verify.
     fn gate(&self, req: &SolveRequest, response: &mut SolveResponse) -> Result<(), Reject> {
-        if !self.config.verify_gate {
-            return Ok(());
-        }
         let candidate = Selection::new(response.selection.iter().map(|&p| PlanId(p)).collect());
         let violation = match integrity::verify_selection(
             &req.problem,
             &candidate,
             response.cost,
-            self.config.integrity_tolerance,
+            DEFAULT_TOLERANCE,
         ) {
             Ok(_) => return Ok(()),
             Err(e) => e,
@@ -302,13 +296,7 @@ impl SolveEngine {
                     repaired.selection,
                     self.config.resilience.repair_descent_moves,
                 );
-                if integrity::verify_selection(
-                    &req.problem,
-                    &sel,
-                    cost,
-                    self.config.integrity_tolerance,
-                )
-                .is_ok()
+                if integrity::verify_selection(&req.problem, &sel, cost, DEFAULT_TOLERANCE).is_ok()
                 {
                     Metrics::inc(&self.metrics.integrity_repairs);
                     response.selection = sel.plans().iter().map(|p| p.0).collect();
@@ -897,27 +885,45 @@ mod tests {
 
     #[test]
     fn verify_gate_is_transparent_on_clean_solves() {
+        // Every answer passes the gate. On clean solves it must change
+        // nothing: the served answer equals the offline pipeline's (which
+        // has no gate), no integrity counter moves, and no route reason
+        // carries an integrity note.
         let gated = engine();
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 50;
-        cfg.device.num_gauges = 5;
-        cfg.verify_gate = false;
-        let ungated = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+        let offline = QuantumMqoSolver::new(
+            ChimeraGraph::new(2, 2),
+            QuantumAnnealer::new(
+                DeviceConfig {
+                    num_reads: 50,
+                    num_gauges: 5,
+                    ..DeviceConfig::default()
+                },
+                SimulatedAnnealingSampler::default(),
+            ),
+        );
         for seed in 0..5 {
-            let a = gated
+            let served = gated
                 .solve(&SolveRequest::new(paper_example(), seed))
                 .unwrap();
-            let b = ungated
-                .solve(&SolveRequest::new(paper_example(), seed))
-                .unwrap();
-            assert_eq!(a.selection, b.selection);
-            assert_eq!(a.cost, b.cost);
-            assert_eq!(a.reads, b.reads);
-            assert_eq!(a.route_reason, b.route_reason);
+            let direct = offline.solve(&paper_example(), seed).unwrap();
+            let direct_sel: Vec<u32> = direct.best.0.plans().iter().map(|p| p.0).collect();
+            assert_eq!(served.selection, direct_sel);
+            assert_eq!(served.cost, direct.best.1);
+            assert_eq!(served.reads, direct.reads);
+            assert!(
+                !served.route_reason.contains("[integrity:"),
+                "{}",
+                served.route_reason
+            );
         }
         let m = gated.metrics().snapshot();
         assert_eq!(
-            m.integrity_violations, 0,
+            (
+                m.integrity_violations,
+                m.integrity_repairs,
+                m.integrity_rejects
+            ),
+            (0, 0, 0),
             "clean answers never trip the gate"
         );
         // The annealer read accounting reached /metrics.

@@ -198,28 +198,40 @@ impl Completer {
 // ---------------------------------------------------------------------------
 // Configuration and the public front-end handle.
 
-/// Event-loop front-end knobs.
+/// Accept shards (event-loop threads); each polls its own clone of the
+/// listener.
+pub const ACCEPT_SHARDS: usize = 2;
+
+/// Keep-alive idle timeout and write-stall timeout, milliseconds: idle
+/// connections close silently, stalled writers are dropped.
+pub const IDLE_TIMEOUT_MS: u64 = 10_000;
+
+/// Maximum requests queued per connection (parsed but not yet answered);
+/// beyond it the shard stops reading from that connection until responses
+/// drain (pipelining backpressure).
+pub const MAX_PIPELINE: usize = 32;
+
+/// Event-loop front-end limits, shared by `mqo_serve` and `mqo_router`.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopConfig {
-    /// Accept shards (event-loop threads); each polls its own clone of the
-    /// listener. 0 is treated as 1.
-    pub shards: usize,
     /// Byte/count caps applied by the incremental parser.
     pub http: HttpLimits,
     /// Wall-clock budget for reading one request, milliseconds (0 disables);
-    /// expiry answers a typed `408` and closes.
+    /// expiry answers a typed `408` and closes (slowloris defense).
     pub request_deadline_ms: u64,
-    /// Keep-alive idle timeout and write-stall timeout, milliseconds
-    /// (0 disables): idle connections close silently, stalled writers are
-    /// dropped.
-    pub idle_timeout_ms: u64,
     /// Connection cap across all shards; accepts beyond it are shed with a
     /// typed `503` + `Retry-After`.
     pub max_connections: usize,
-    /// Maximum requests queued per connection (parsed but not yet
-    /// answered); beyond it the shard stops reading from that connection
-    /// until responses drain (pipelining backpressure).
-    pub max_pipeline: usize,
+}
+
+impl Default for LoopConfig {
+    fn default() -> Self {
+        LoopConfig {
+            http: HttpLimits::default(),
+            request_deadline_ms: 10_000,
+            max_connections: 256,
+        }
+    }
 }
 
 /// A running event-loop front-end: one thread per accept shard.
@@ -230,7 +242,7 @@ pub struct EventLoop {
 }
 
 impl EventLoop {
-    /// Spawns `config.shards` event-loop threads over clones of `listener`.
+    /// Spawns [`ACCEPT_SHARDS`] event-loop threads over clones of `listener`.
     /// The shards watch `shutdown`; flip it and [`EventLoop::wake`] to start
     /// a graceful drain.
     pub fn spawn(
@@ -241,10 +253,9 @@ impl EventLoop {
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
-        let shards = config.shards.max(1);
-        let mut wakers = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard_id in 0..shards {
+        let mut wakers = Vec::with_capacity(ACCEPT_SHARDS);
+        let mut handles = Vec::with_capacity(ACCEPT_SHARDS);
+        for shard_id in 0..ACCEPT_SHARDS {
             let listener = listener.try_clone()?;
             let (wake_tx, wake_rx) = UnixStream::pair()?;
             wake_tx.set_nonblocking(true)?;
@@ -354,8 +365,19 @@ impl Conn {
         }
     }
 
-    fn wants_read(&self, max_pipeline: usize, read_cap: usize) -> bool {
-        !self.read_closed && self.pending.len() < max_pipeline && self.buf.len() < read_cap
+    fn wants_read(&self, read_cap: usize) -> bool {
+        !self.read_closed && self.pending.len() < MAX_PIPELINE && self.buf.len() < read_cap
+    }
+
+    /// Whether the idle timeout applies: a stalled writer, or a keep-alive
+    /// connection with nothing in flight.
+    fn idle_expirable(&self) -> bool {
+        let stalled_write = self.out_pos < self.out.len();
+        let pure_idle = !self.read_closed
+            && self.pending.is_empty()
+            && self.out.is_empty()
+            && self.buf.is_empty();
+        stalled_write || pure_idle
     }
 
     fn wants_write(&self) -> bool {
@@ -457,7 +479,7 @@ impl Shard {
         let mut conn_ids = Vec::with_capacity(self.conns.len());
         for (&id, conn) in &self.conns {
             let mut events = 0i16;
-            if conn.wants_read(self.config.max_pipeline.max(1), self.read_cap) {
+            if conn.wants_read(self.read_cap) {
                 events |= POLLIN;
             }
             if conn.wants_write() {
@@ -482,21 +504,13 @@ impl Shard {
         // The base tick bounds how stale another shard's shutdown flag can
         // go unnoticed; wakeup bytes cover everything latency-critical.
         let mut timeout = Duration::from_millis(if self.draining { 10 } else { 100 });
-        let idle_ms = self.config.idle_timeout_ms;
         for conn in self.conns.values() {
             if let Some(deadline) = conn.read_deadline {
                 timeout = timeout.min(deadline.saturating_duration_since(now));
             }
-            if idle_ms > 0 {
-                let stalled_write = conn.out_pos < conn.out.len();
-                let pure_idle = !conn.read_closed
-                    && conn.pending.is_empty()
-                    && conn.out.is_empty()
-                    && conn.buf.is_empty();
-                if stalled_write || pure_idle {
-                    let expiry = conn.idle_since + Duration::from_millis(idle_ms);
-                    timeout = timeout.min(expiry.saturating_duration_since(now));
-                }
+            if conn.idle_expirable() {
+                let expiry = conn.idle_since + Duration::from_millis(IDLE_TIMEOUT_MS);
+                timeout = timeout.min(expiry.saturating_duration_since(now));
             }
         }
         timeout
@@ -523,7 +537,7 @@ impl Shard {
                     }
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    let max = self.config.max_connections.max(1) as u64;
+                    let max = self.config.max_connections as u64;
                     // fetch_add admission keeps the cap race-free across
                     // shards: whoever pushes the gauge past the cap backs
                     // out and sheds.
@@ -636,9 +650,8 @@ impl Shard {
     }
 
     fn parse_and_dispatch(&mut self, id: u64, conn: &mut Conn) {
-        let max_pipeline = self.config.max_pipeline.max(1);
         loop {
-            if conn.pending.len() >= max_pipeline {
+            if conn.pending.len() >= MAX_PIPELINE {
                 return; // backpressure: stop parsing until responses drain
             }
             if conn.buf.is_empty() {
@@ -834,7 +847,6 @@ impl Shard {
 
     fn enforce_deadlines(&mut self) {
         let now = Instant::now();
-        let idle_ms = self.config.idle_timeout_ms;
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             let Some(conn) = self.conns.get(&id) else {
@@ -856,18 +868,13 @@ impl Shard {
                 self.pump_taken(id, conn);
                 continue;
             }
-            if idle_ms > 0 && now.duration_since(conn.idle_since).as_millis() as u64 >= idle_ms {
-                let stalled_write = conn.out_pos < conn.out.len();
-                let pure_idle = !conn.read_closed
-                    && conn.pending.is_empty()
-                    && conn.out.is_empty()
-                    && conn.buf.is_empty();
-                if stalled_write || pure_idle {
-                    // Keep-alive idle gap over, or a client that will not
-                    // read its response: close silently.
-                    let conn = self.conns.remove(&id).expect("conn key just seen");
-                    self.finalize(conn);
-                }
+            if now.duration_since(conn.idle_since).as_millis() as u64 >= IDLE_TIMEOUT_MS
+                && conn.idle_expirable()
+            {
+                // Keep-alive idle gap over, or a client that will not read
+                // its response: close silently.
+                let conn = self.conns.remove(&id).expect("conn key just seen");
+                self.finalize(conn);
             }
         }
     }
@@ -948,14 +955,7 @@ mod tests {
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut config = LoopConfig {
-            shards: 2,
-            http: HttpLimits::default(),
-            request_deadline_ms: 10_000,
-            idle_timeout_ms: 10_000,
-            max_connections: 64,
-            max_pipeline: 32,
-        };
+        let mut config = LoopConfig::default();
         config_mut(&mut config);
         let metrics = Arc::new(Metrics::default());
         let shutdown = Arc::new(AtomicBool::new(false));

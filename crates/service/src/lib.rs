@@ -68,9 +68,7 @@ pub use metrics::{Metrics, MetricsSnapshot};
 pub use queue::{QueueConfig, SolveQueue};
 pub use router::{route, RouteDecision, RouterConfig};
 pub use server::{Server, ServerConfig};
-pub use shard::{
-    next_deadline, structure_key, CellSnapshot, FailoverConfig, MqoRouter, MqoRouterConfig,
-};
+pub use shard::{next_deadline, structure_key, CellSnapshot, MqoRouter, MqoRouterConfig};
 pub use supervisor::{
     RespawnPolicy, RespawnVerdict, SupervisedCellSnapshot, Supervisor, SupervisorConfig,
 };

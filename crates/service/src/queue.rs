@@ -2,7 +2,7 @@
 //!
 //! The front-end enqueues; a small worker pool drains the queue in batches
 //! (grouping structurally similar requests so embedding-cache hits cluster)
-//! and answers each job through a one-shot channel. Overload is a typed
+//! and answers each job through its [`Responder`] callback. Overload is a typed
 //! [`Reject::QueueFull`] at admission time — the queue never grows without
 //! bound and never panics under pressure — and shutdown stops admissions
 //! while the workers drain everything already accepted.
@@ -28,7 +28,7 @@ use crate::metrics::{lock_recover, wait_recover, Metrics};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -41,8 +41,6 @@ pub struct QueueConfig {
     pub workers: usize,
     /// Maximum requests one worker claims per wake-up.
     pub batch_size: usize,
-    /// Deadline applied to requests that specify none (0 = unbounded).
-    pub default_deadline_ms: u64,
 }
 
 impl Default for QueueConfig {
@@ -51,64 +49,41 @@ impl Default for QueueConfig {
             depth: 64,
             workers: 2,
             batch_size: 8,
-            default_deadline_ms: 0,
         }
     }
 }
 
-/// Where a job's answer goes: the blocking front-end waits on a one-shot
-/// channel; the event-loop front-end hands the queue a callback that posts
-/// the response back to the owning shard and wakes its `poll`.
-pub struct Responder(ResponderKind);
-
 /// Boxed completion callback invoked with the job's final answer.
 type ResponseCallback = Box<dyn FnOnce(Result<SolveResponse, Reject>) + Send>;
 
-enum ResponderKind {
-    Channel(mpsc::Sender<Result<SolveResponse, Reject>>),
-    Callback(Option<ResponseCallback>),
-}
+/// Where a job's answer goes: a callback that posts the response back to
+/// the owning event-loop shard and wakes its `poll`.
+pub struct Responder(Option<ResponseCallback>);
 
 impl Responder {
-    /// A responder that sends into a one-shot channel.
-    #[must_use]
-    pub fn channel(tx: mpsc::Sender<Result<SolveResponse, Reject>>) -> Responder {
-        Responder(ResponderKind::Channel(tx))
-    }
-
     /// A responder that invokes `f` with the answer. Invoked from a worker
     /// thread, so `f` must be cheap and non-blocking (the event loop's
     /// completers only push onto a channel and write one wakeup byte).
     #[must_use]
     pub fn callback(f: impl FnOnce(Result<SolveResponse, Reject>) + Send + 'static) -> Responder {
-        Responder(ResponderKind::Callback(Some(Box::new(f))))
+        Responder(Some(Box::new(f)))
     }
 
-    /// Delivers the answer. A receiver that hung up is not an error.
+    /// Delivers the answer.
     pub fn respond(mut self, result: Result<SolveResponse, Reject>) {
-        match &mut self.0 {
-            ResponderKind::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ResponderKind::Callback(f) => {
-                if let Some(f) = f.take() {
-                    f(result);
-                }
-            }
+        if let Some(f) = self.0.take() {
+            f(result);
         }
     }
 }
 
 impl Drop for Responder {
-    /// Safety net: a callback responder dropped without answering (a queue
-    /// dropped before its workers drained it) still tells the client the
-    /// service is going away, mirroring what channel waiters see as a
-    /// `RecvError`.
+    /// Safety net: a responder dropped without answering (a queue dropped
+    /// before its workers drained it) still tells the client the service
+    /// is going away.
     fn drop(&mut self) {
-        if let ResponderKind::Callback(f) = &mut self.0 {
-            if let Some(f) = f.take() {
-                f(Err(Reject::ShuttingDown));
-            }
+        if let Some(f) = self.0.take() {
+            f(Err(Reject::ShuttingDown));
         }
     }
 }
@@ -117,8 +92,8 @@ impl Drop for Responder {
 struct Job {
     req: SolveRequest,
     enqueued: Instant,
-    deadline: Option<Instant>,
-    deadline_ms: u64,
+    /// Expiry instant and the client's `deadline_ms` it came from.
+    deadline: Option<(Instant, u64)>,
     responder: Responder,
 }
 
@@ -182,18 +157,6 @@ impl SolveQueue {
         }
     }
 
-    /// Admits a request, returning the channel its answer will arrive on,
-    /// or a typed rejection when the queue is full or draining.
-    pub fn submit(
-        &self,
-        req: SolveRequest,
-    ) -> Result<mpsc::Receiver<Result<SolveResponse, Reject>>, Reject> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_with(req, Responder::channel(tx))
-            .map(|()| rx)
-            .map_err(|(_responder, reject)| reject)
-    }
-
     /// Admits a request whose answer is delivered through `responder`.
     /// Admission rejections (queue full, draining) hand the responder back
     /// unanswered, so the caller decides how to answer — the HTTP
@@ -218,14 +181,14 @@ impl SolveQueue {
                 },
             ));
         }
-        let deadline_ms = req.deadline_ms.unwrap_or(self.config.default_deadline_ms);
-        let deadline = (deadline_ms > 0)
-            .then(|| Instant::now() + std::time::Duration::from_millis(deadline_ms));
+        let deadline = req
+            .deadline_ms
+            .filter(|&ms| ms > 0)
+            .map(|ms| (Instant::now() + std::time::Duration::from_millis(ms), ms));
         state.jobs.push_back(Job {
             req,
             enqueued: Instant::now(),
             deadline,
-            deadline_ms,
             responder,
         });
         metrics
@@ -284,15 +247,13 @@ impl SolveQueue {
             // second one of a pair hits the embedding the first just cached.
             batch.sort_by_key(|job| (job.req.problem.num_queries(), job.req.problem.num_plans()));
             for job in batch {
-                if job
-                    .deadline
-                    .is_some_and(|deadline| Instant::now() >= deadline)
-                {
-                    Metrics::inc(&metrics.rejected_deadline);
-                    job.responder.respond(Err(Reject::DeadlineExceeded {
-                        deadline_ms: job.deadline_ms,
-                    }));
-                    continue;
+                if let Some((deadline, deadline_ms)) = job.deadline {
+                    if Instant::now() >= deadline {
+                        Metrics::inc(&metrics.rejected_deadline);
+                        job.responder
+                            .respond(Err(Reject::DeadlineExceeded { deadline_ms }));
+                        continue;
+                    }
                 }
                 let wait_us = job.enqueued.elapsed().as_micros() as u64;
                 metrics.queue_wait.record(wait_us);
@@ -311,7 +272,6 @@ impl SolveQueue {
                             response.queue_wait_us = wait_us;
                             response
                         });
-                        // A receiver that hung up is not an error here.
                         job.responder.respond(result);
                     }
                     Err(payload) => {
@@ -333,6 +293,22 @@ mod tests {
     use crate::engine::EngineConfig;
     use mqo_chimera::graph::ChimeraGraph;
     use mqo_core::problem::MqoProblem;
+    use std::sync::mpsc;
+
+    type Answer = mpsc::Receiver<Result<SolveResponse, Reject>>;
+
+    /// Admits `req` with a callback responder that forwards the answer into
+    /// a channel the test waits on.
+    fn submit(queue: &SolveQueue, req: SolveRequest) -> Result<Answer, Reject> {
+        let (tx, rx) = mpsc::channel();
+        let responder = Responder::callback(move |result| {
+            let _ = tx.send(result);
+        });
+        queue
+            .submit_with(req, responder)
+            .map(|()| rx)
+            .map_err(|(_, reject)| reject)
+    }
 
     fn tiny_problem() -> MqoProblem {
         let mut b = MqoProblem::builder();
@@ -363,12 +339,11 @@ mod tests {
         let mut pending = Vec::new();
         for i in 0..3 {
             pending.push(
-                queue
-                    .submit(SolveRequest::new(tiny_problem(), i))
+                submit(&queue, SolveRequest::new(tiny_problem(), i))
                     .unwrap_or_else(|r| panic!("request {i} should be admitted, got {r}")),
             );
         }
-        match queue.submit(SolveRequest::new(tiny_problem(), 99)) {
+        match submit(&queue, SolveRequest::new(tiny_problem(), 99)) {
             Err(Reject::QueueFull { depth }) => assert_eq!(depth, 3),
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -395,13 +370,12 @@ mod tests {
                 ..QueueConfig::default()
             },
         );
-        let rx = queue
-            .submit(SolveRequest::new(tiny_problem(), 1))
-            .expect("admitted before shutdown");
+        let rx =
+            submit(&queue, SolveRequest::new(tiny_problem(), 1)).expect("admitted before shutdown");
         queue.shutdown();
         let response = rx.recv().expect("in-flight job is drained").unwrap();
         assert_eq!(response.cost, 2.0);
-        match queue.submit(SolveRequest::new(tiny_problem(), 2)) {
+        match submit(&queue, SolveRequest::new(tiny_problem(), 2)) {
             Err(Reject::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
@@ -415,7 +389,7 @@ mod tests {
         let queue = SolveQueue::new(engine(), QueueConfig::default());
         let mut req = SolveRequest::new(tiny_problem(), 1);
         req.deadline_ms = Some(1);
-        let rx = queue.submit(req).unwrap();
+        let rx = submit(&queue, req).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         queue.spawn_workers();
         queue.shutdown();
@@ -440,7 +414,7 @@ mod tests {
             .map(|i| {
                 let mut req = SolveRequest::new(tiny_problem(), i);
                 req.backend = Some(Backend::HillClimbing);
-                queue.submit(req).unwrap()
+                submit(&queue, req).unwrap()
             })
             .collect();
         queue.spawn_workers();
@@ -501,7 +475,7 @@ mod tests {
             .map(|i| {
                 let mut req = SolveRequest::new(tiny_problem(), i);
                 req.backend = Some(Backend::HillClimbing);
-                (i, queue.submit(req).unwrap())
+                (i, submit(&queue, req).unwrap())
             })
             .collect();
         queue.spawn_workers();

@@ -27,7 +27,7 @@
 //!   the router subtracts its own elapsed time and forwards a strictly
 //!   decreasing `deadline_ms` upstream ([`next_deadline`]);
 //! * every in-flight request sits in a **bounded per-shard journal**
-//!   ([`FailoverJournal`] semantics): admission beyond the per-shard bound
+//!   ([`JOURNAL_DEPTH`]): admission beyond the per-shard bound
 //!   answers a typed 429 instead of queueing without limit, and the journal
 //!   draining to zero is the drain invariant the kill-chaos tests assert;
 //! * idempotent repeats (same structure, weights, seed, reads, gauges,
@@ -51,8 +51,9 @@
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 use crate::cache::Lru;
+use crate::engine::EPSILON;
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{HttpLimits, KeepAliveClient, Request};
+use crate::http::{KeepAliveClient, Request};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::LogicalMapping;
@@ -64,73 +65,48 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Failover policy of the router (DESIGN.md §14).
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverConfig {
-    /// Replay window for requests that carry no `deadline_ms` of their own,
-    /// milliseconds. Requests with a client deadline use that instead.
-    pub budget_ms: u64,
-    /// Outstanding requests allowed per shard (primary cell); admission
-    /// beyond this answers a typed 429. `0` disables the bound.
-    pub journal_depth: usize,
-    /// Maximum passes over the fleet before giving up (at least 1). Each
-    /// pass tries every admissible cell once.
-    pub rounds: u32,
-    /// Pause between passes, milliseconds — gives a respawning cell or a
-    /// cooling breaker a moment before the next pass.
-    pub round_backoff_ms: u64,
-}
+/// Forwarder threads (each owns pooled upstream connections).
+pub const FORWARDERS: usize = 4;
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            budget_ms: 2_000,
-            journal_depth: 64,
-            rounds: 4,
-            round_backoff_ms: 25,
-        }
-    }
-}
+/// Recent requests retained per structure hash for cache warm-up on cell
+/// recovery.
+pub const WARM_EXEMPLARS: usize = 32;
+
+/// Replay window for requests that carry no `deadline_ms` of their own,
+/// milliseconds. Requests with a client deadline use that instead.
+pub const FAILOVER_BUDGET_MS: u64 = 2_000;
+
+/// Outstanding requests allowed per shard (primary cell); admission beyond
+/// this answers a typed 429.
+pub const JOURNAL_DEPTH: usize = 64;
+
+/// Pause between failover passes over the fleet, milliseconds — gives a
+/// respawning cell or a cooling breaker a moment before the next pass.
+pub const ROUND_BACKOFF_MS: u64 = 25;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct MqoRouterConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Upstream `mqo_serve` cell addresses (at least one).
+    /// Upstream `mqo_serve` cell addresses (at least one). A supervised
+    /// fleet spawns one cell per address.
     pub cells: Vec<String>,
-    /// Epsilon used to build the logical QUBO for the shard key; must match
-    /// the cells' engine epsilon for the key to mirror their cache key.
-    pub epsilon: f64,
-    /// Forwarder threads (each owns pooled upstream connections).
-    pub forwarders: usize,
     /// Upstream connect/read/write timeout, milliseconds.
     pub io_timeout_ms: u64,
     /// Per-cell circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Recent requests retained per structure hash for cache warm-up on
-    /// cell recovery (0 disables warm-up).
-    pub warm_exemplars: usize,
     /// Response-cache entries for idempotent repeats (0 disables).
     pub response_cache: usize,
-    /// Replay/journal policy.
-    pub failover: FailoverConfig,
+    /// Maximum failover passes over the fleet before giving up (at least
+    /// 1). Each pass tries every admissible cell once.
+    pub failover_rounds: u32,
     /// Spawn and supervise the cells as child processes (respawn on death,
     /// quarantine on crash loop). `None` routes to externally managed
     /// cells exactly as before.
     pub supervisor: Option<SupervisorConfig>,
-    /// Client-side byte/count caps.
-    pub http: HttpLimits,
-    /// Client-side whole-request read deadline, milliseconds.
-    pub request_deadline_ms: u64,
-    /// Client-side idle / write-stall timeout, milliseconds.
-    pub idle_timeout_ms: u64,
-    /// Client-side connection cap.
-    pub max_connections: usize,
-    /// Event-loop accept shards.
-    pub accept_shards: usize,
-    /// Pipelined requests per client connection cap.
-    pub max_pipeline: usize,
+    /// Client-side event-loop limits.
+    pub front: LoopConfig,
 }
 
 impl MqoRouterConfig {
@@ -140,20 +116,12 @@ impl MqoRouterConfig {
         MqoRouterConfig {
             addr: "127.0.0.1:0".to_string(),
             cells,
-            epsilon: 0.25,
-            forwarders: 4,
             io_timeout_ms: 10_000,
             breaker: BreakerConfig::default(),
-            warm_exemplars: 32,
             response_cache: 128,
-            failover: FailoverConfig::default(),
+            failover_rounds: 4,
             supervisor: None,
-            http: HttpLimits::default(),
-            request_deadline_ms: 10_000,
-            idle_timeout_ms: 10_000,
-            max_connections: 256,
-            accept_shards: 2,
-            max_pipeline: 32,
+            front: LoopConfig::default(),
         }
     }
 }
@@ -247,13 +215,6 @@ impl FailoverJournal {
     /// Admits one request against `shard`, or `None` when the shard is at
     /// its journal bound (answer 429, don't queue without limit).
     fn admit(self: &Arc<Self>, shard: usize, hash: u64) -> Option<JournalGuard> {
-        if self.depth == 0 {
-            return Some(JournalGuard {
-                journal: Arc::clone(self),
-                shard,
-                ticket: None,
-            });
-        }
         let mut entries = lock_recover(&self.shards[shard], &self.lock_recoveries);
         if entries.len() >= self.depth {
             return None;
@@ -263,7 +224,7 @@ impl FailoverJournal {
         Some(JournalGuard {
             journal: Arc::clone(self),
             shard,
-            ticket: Some(ticket),
+            ticket,
         })
     }
 
@@ -277,18 +238,16 @@ impl FailoverJournal {
 struct JournalGuard {
     journal: Arc<FailoverJournal>,
     shard: usize,
-    ticket: Option<u64>,
+    ticket: u64,
 }
 
 impl Drop for JournalGuard {
     fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            lock_recover(
-                &self.journal.shards[self.shard],
-                &self.journal.lock_recoveries,
-            )
-            .remove(&ticket);
-        }
+        lock_recover(
+            &self.journal.shards[self.shard],
+            &self.journal.lock_recoveries,
+        )
+        .remove(&self.ticket);
     }
 }
 
@@ -300,8 +259,7 @@ struct Fleet {
     /// Most-recent canonical request body per structure hash, bounded FIFO;
     /// replayed into a cell when its breaker closes after being open.
     exemplars: Mutex<VecDeque<(u64, Vec<u8>)>>,
-    warm_exemplars: usize,
-    failover: FailoverConfig,
+    failover_rounds: u32,
     /// Per-cell quarantine flags; shared with the supervisor when one is
     /// running, all-false otherwise.
     quarantined: Arc<Vec<AtomicBool>>,
@@ -326,15 +284,12 @@ impl Fleet {
     /// Remembers `body` as the exemplar for `hash` (replacing any previous
     /// one), evicting the oldest entry beyond the cap.
     fn remember(&self, hash: u64, body: &[u8]) {
-        if self.warm_exemplars == 0 {
-            return;
-        }
         let mut exemplars = lock_recover(&self.exemplars, &self.lock_recoveries);
         if let Some(pos) = exemplars.iter().position(|(h, _)| *h == hash) {
             exemplars.remove(pos);
         }
         exemplars.push_back((hash, body.to_vec()));
-        while exemplars.len() > self.warm_exemplars {
+        while exemplars.len() > WARM_EXEMPLARS {
             exemplars.pop_front();
         }
     }
@@ -383,7 +338,7 @@ impl Fleet {
         let budget = request.deadline_ms;
         // The replay window: the client's own deadline when it sent one,
         // the configured failover budget otherwise.
-        let window_ms = budget.unwrap_or(self.failover.budget_ms);
+        let window_ms = budget.unwrap_or(FAILOVER_BUDGET_MS);
         let mut last_forwarded: Option<u64> = None;
         let mut last_5xx: Option<(u16, String)> = None;
         let mut failed_attempts = 0u32;
@@ -398,14 +353,14 @@ impl Fleet {
             }
         };
 
-        'rounds: for round in 0..self.failover.rounds.max(1) {
+        'rounds: for round in 0..self.failover_rounds.max(1) {
             if round > 0 {
                 let elapsed = admitted.elapsed().as_millis() as u64;
-                if elapsed.saturating_add(self.failover.round_backoff_ms) >= window_ms {
+                if elapsed.saturating_add(ROUND_BACKOFF_MS) >= window_ms {
                     budget_exhausted = true;
                     break 'rounds;
                 }
-                std::thread::sleep(Duration::from_millis(self.failover.round_backoff_ms));
+                std::thread::sleep(Duration::from_millis(ROUND_BACKOFF_MS));
             }
             for step in 0..n {
                 let idx = (self.primary(hash) + step) % n;
@@ -526,9 +481,6 @@ impl Fleet {
     /// warming its embedding cache after a respawn. Best-effort: replay
     /// failures are ignored (live traffic will re-trip the breaker).
     fn warm_cell(&self, idx: usize) {
-        if self.warm_exemplars == 0 {
-            return;
-        }
         let mine: Vec<Vec<u8>> = lock_recover(&self.exemplars, &self.lock_recoveries)
             .iter()
             .filter(|(hash, _)| self.primary(*hash) == idx)
@@ -584,7 +536,6 @@ struct RouterHandler {
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     supervisor: Option<Arc<Supervisor>>,
-    epsilon: f64,
 }
 
 impl Handler for RouterHandler {
@@ -601,7 +552,7 @@ impl Handler for RouterHandler {
                     "router": serde_json::json!({
                         "cells": self.fleet.cell_snapshots(),
                         "response_cache_len": self.fleet.response_cache.stats().len,
-                        "journal_depth": self.fleet.failover.journal_depth,
+                        "journal_depth": JOURNAL_DEPTH,
                     }),
                     "supervisor": supervisor,
                 });
@@ -618,13 +569,13 @@ impl Handler for RouterHandler {
                         }));
                     }
                 };
-                let hash = structure_key(&solve_request.problem, self.epsilon);
+                let hash = structure_key(&solve_request.problem, EPSILON);
                 let shard = self.fleet.primary(hash);
                 let Some(guard) = self.fleet.journal.admit(shard, hash) else {
                     Metrics::inc(&self.metrics.rejected_queue_full);
                     return Action::Respond(
                         Response::reject(&Reject::QueueFull {
-                            depth: self.fleet.failover.journal_depth,
+                            depth: JOURNAL_DEPTH,
                         })
                         .with_header("retry-after", "1"),
                     );
@@ -697,14 +648,8 @@ impl MqoRouter {
         let mut supervisor = None;
         let quarantined: Arc<Vec<AtomicBool>>;
         if let Some(sup_config) = config.supervisor.clone() {
-            if sup_config.cells != config.cells {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "supervisor cell list must match the router cell list",
-                ));
-            }
-            let sup =
-                Supervisor::start(sup_config, Arc::clone(&metrics)).map_err(io::Error::other)?;
+            let sup = Supervisor::start(sup_config, &config.cells, Arc::clone(&metrics))
+                .map_err(io::Error::other)?;
             sup.wait_ready().map_err(io::Error::other)?;
             quarantined = sup.quarantine_flags();
             supervisor = Some(Arc::new(sup));
@@ -739,16 +684,12 @@ impl MqoRouter {
                 })
             })
             .collect::<io::Result<Vec<Cell>>>()?;
-        let journal = Arc::new(FailoverJournal::new(
-            cells.len(),
-            config.failover.journal_depth,
-        ));
+        let journal = Arc::new(FailoverJournal::new(cells.len(), JOURNAL_DEPTH));
         let fleet = Arc::new(Fleet {
             cells,
             io_timeout: Duration::from_millis(config.io_timeout_ms.max(1)),
             exemplars: Mutex::new(VecDeque::new()),
-            warm_exemplars: config.warm_exemplars,
-            failover: config.failover,
+            failover_rounds: config.failover_rounds,
             quarantined,
             journal,
             response_cache: Lru::new(config.response_cache),
@@ -760,7 +701,7 @@ impl MqoRouter {
         let (forward_tx, forward_rx) = mpsc::channel::<ForwardJob>();
         let forward_rx = Arc::new(Mutex::new(forward_rx));
         let mut forwarders = Vec::new();
-        for i in 0..config.forwarders.max(1) {
+        for i in 0..FORWARDERS {
             let fleet = Arc::clone(&fleet);
             let forward_rx = Arc::clone(&forward_rx);
             forwarders.push(
@@ -795,18 +736,10 @@ impl MqoRouter {
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             supervisor: supervisor.clone(),
-            epsilon: config.epsilon,
         });
         let event_loop = EventLoop::spawn(
             listener,
-            LoopConfig {
-                shards: config.accept_shards,
-                http: config.http,
-                request_deadline_ms: config.request_deadline_ms,
-                idle_timeout_ms: config.idle_timeout_ms,
-                max_connections: config.max_connections,
-                max_pipeline: config.max_pipeline,
-            },
+            config.front,
             handler,
             Arc::clone(&metrics),
             Arc::clone(&shutdown),
@@ -1176,7 +1109,7 @@ mod tests {
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 30_000;
         config.io_timeout_ms = 200;
-        config.failover.rounds = 1;
+        config.failover_rounds = 1;
         let router = MqoRouter::start(config).expect("bind router");
 
         let (status, _) = roundtrip(router.local_addr(), "POST", "/solve", TINY_A).unwrap();
@@ -1227,15 +1160,5 @@ mod tests {
         drop(a);
         assert_eq!(journal.outstanding(0), 1, "guard drop releases the slot");
         assert!(journal.admit(0, 15).is_some(), "slot reusable");
-        // Depth 0 disables the bound.
-        let unbounded = Arc::new(FailoverJournal::new(1, 0));
-        for i in 0..100 {
-            assert!(unbounded.admit(0, i).is_some());
-        }
-        assert_eq!(
-            unbounded.outstanding(0),
-            0,
-            "disabled journal stores nothing"
-        );
     }
 }

@@ -10,7 +10,7 @@
 //!   (SIGKILL from the chaos schedule, OOM, a crash bug);
 //! * **deadline-bounded `/healthz` probes**: the process is alive but not
 //!   answering (wedged accept loop, livelock) — after
-//!   `probe_failure_threshold` consecutive probe failures the supervisor
+//!   [`PROBE_FAILURE_THRESHOLD`] consecutive probe failures the supervisor
 //!   kills it and treats it as crashed;
 //!
 //! — and respawns it with exponential backoff. A cell that keeps dying
@@ -41,70 +41,59 @@ use std::time::{Duration, Instant};
 /// Placeholder in a cell command template replaced by the cell's address.
 pub const ADDR_PLACEHOLDER: &str = "{addr}";
 
-/// Fleet-supervision configuration.
+/// Consecutive probe failures after which a live-but-unresponsive cell is
+/// killed and treated as crashed.
+pub const PROBE_FAILURE_THRESHOLD: u32 = 3;
+
+/// How long [`Supervisor::wait_ready`] allows the initial fleet to become
+/// healthy, milliseconds.
+pub const STARTUP_TIMEOUT_MS: u64 = 30_000;
+
+/// Fleet-supervision configuration. The cell addresses are the router's
+/// ([`crate::shard::MqoRouterConfig::cells`]), handed to
+/// [`Supervisor::start`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// One command template per cell (argv form, first element is the
-    /// program). Every occurrence of `{addr}` in any element is replaced by
-    /// the cell's address before spawning.
+    /// program), index-aligned with the router's cell list. Every
+    /// occurrence of `{addr}` in any element is replaced by the cell's
+    /// address before spawning.
     pub commands: Vec<Vec<String>>,
-    /// Cell addresses, index-aligned with `commands` (and with the
-    /// router's cell order).
-    pub cells: Vec<String>,
     /// Milliseconds between `/healthz` probes of a live cell.
     pub probe_interval_ms: u64,
     /// Probe connect/read deadline, milliseconds.
     pub probe_timeout_ms: u64,
-    /// Consecutive probe failures after which a live-but-unresponsive cell
-    /// is killed and treated as crashed. `0` disables probing.
-    pub probe_failure_threshold: u32,
-    /// First respawn backoff, milliseconds (doubles per rapid crash).
-    pub backoff_initial_ms: u64,
-    /// Respawn backoff cap, milliseconds.
-    pub backoff_max_ms: u64,
-    /// Rapid crashes (uptime below `crash_loop_window_ms`) that quarantine
-    /// a cell. `0` disables quarantine (the cell respawns forever).
-    pub crash_loop_threshold: u32,
-    /// A crash with uptime below this window counts as rapid, milliseconds.
-    pub crash_loop_window_ms: u64,
-    /// How long `wait_ready` allows the initial fleet to become healthy,
-    /// milliseconds.
-    pub startup_timeout_ms: u64,
+    /// Respawn backoff and crash-loop quarantine policy.
+    pub respawn: RespawnPolicy,
     /// Deterministic SIGKILL schedule executed against the fleet
     /// (inert by default).
     pub kill_schedule: CellKillSchedule,
 }
 
 impl SupervisorConfig {
-    /// A supervisor over `cells`, every cell spawned from the same
+    /// A supervisor over `cells` cells, every cell spawned from the same
     /// `command` template, with conservative defaults.
     #[must_use]
-    pub fn new(command: Vec<String>, cells: Vec<String>) -> Self {
+    pub fn new(command: Vec<String>, cells: usize) -> Self {
         SupervisorConfig {
-            commands: vec![command; cells.len()],
-            cells,
+            commands: vec![command; cells],
             probe_interval_ms: 200,
             probe_timeout_ms: 500,
-            probe_failure_threshold: 3,
-            backoff_initial_ms: 100,
-            backoff_max_ms: 5_000,
-            crash_loop_threshold: 5,
-            crash_loop_window_ms: 10_000,
-            startup_timeout_ms: 30_000,
+            respawn: RespawnPolicy::default(),
             kill_schedule: CellKillSchedule::default(),
         }
     }
 
     /// Validates the template/cell pairing before any process is spawned.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.cells.is_empty() {
+    pub fn validate(&self, cells: &[String]) -> Result<(), String> {
+        if cells.is_empty() {
             return Err("supervisor needs at least one cell".to_string());
         }
-        if self.commands.len() != self.cells.len() {
+        if self.commands.len() != cells.len() {
             return Err(format!(
                 "supervisor has {} command templates for {} cells",
                 self.commands.len(),
-                self.cells.len()
+                cells.len()
             ));
         }
         if let Some(idx) = self.commands.iter().position(Vec::is_empty) {
@@ -140,6 +129,17 @@ pub struct RespawnPolicy {
     pub crash_loop_threshold: u32,
     /// Uptime below this counts as a rapid crash, milliseconds.
     pub crash_loop_window_ms: u64,
+}
+
+impl Default for RespawnPolicy {
+    fn default() -> Self {
+        RespawnPolicy {
+            backoff_initial_ms: 100,
+            backoff_max_ms: 5_000,
+            crash_loop_threshold: 5,
+            crash_loop_window_ms: 10_000,
+        }
+    }
 }
 
 impl RespawnPolicy {
@@ -201,6 +201,27 @@ struct CellProcess {
     last_exit: Option<String>,
 }
 
+impl CellProcess {
+    /// A cell not yet spawned.
+    fn new(addr: String, command: Vec<String>) -> Self {
+        let now = Instant::now();
+        CellProcess {
+            addr,
+            command,
+            child: None,
+            spawned_at: now,
+            respawn_due: None,
+            rapid_crashes: 0,
+            consecutive_probe_failures: 0,
+            last_probe: now,
+            healthy_once: false,
+            respawns: 0,
+            probe_failures: 0,
+            last_exit: None,
+        }
+    }
+}
+
 /// Serialisable per-cell supervision state, reported in the router's
 /// `/metrics` under `"supervisor"`.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -225,7 +246,6 @@ pub struct SupervisedCellSnapshot {
 struct Shared {
     cells: Vec<Mutex<CellProcess>>,
     quarantined: Arc<Vec<AtomicBool>>,
-    policy: RespawnPolicy,
     config: SupervisorConfig,
     metrics: Arc<Metrics>,
     stop: AtomicBool,
@@ -242,7 +262,7 @@ pub struct Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("cells", &self.shared.config.cells)
+            .field("cells", &self.shared.cells.len())
             .finish()
     }
 }
@@ -252,50 +272,36 @@ impl std::fmt::Debug for Supervisor {
 const TICK: Duration = Duration::from_millis(20);
 
 impl Supervisor {
-    /// Spawns every cell and the monitor thread. Call
+    /// Spawns one process per address in `cells` and the monitor thread. Call
     /// [`Supervisor::wait_ready`] before routing traffic.
     ///
     /// `metrics` receives the fleet counters (`cell_respawns`,
     /// `crash_loops_quarantined`, `health_probe_failures`,
     /// `chaos_cell_kills_injected`) — pass the router's metrics handle so
     /// they surface under its `/metrics`.
-    pub fn start(config: SupervisorConfig, metrics: Arc<Metrics>) -> Result<Supervisor, String> {
-        config.validate()?;
-        let policy = RespawnPolicy {
-            backoff_initial_ms: config.backoff_initial_ms,
-            backoff_max_ms: config.backoff_max_ms,
-            crash_loop_threshold: config.crash_loop_threshold,
-            crash_loop_window_ms: config.crash_loop_window_ms,
-        };
-        let now = Instant::now();
-        let mut cells = Vec::with_capacity(config.cells.len());
-        for (addr, command) in config.cells.iter().zip(&config.commands) {
-            let mut cell = CellProcess {
-                addr: addr.clone(),
-                command: command.clone(),
-                child: None,
-                spawned_at: now,
-                respawn_due: None,
-                rapid_crashes: 0,
-                consecutive_probe_failures: 0,
-                last_probe: now,
-                healthy_once: false,
-                respawns: 0,
-                probe_failures: 0,
-                last_exit: None,
-            };
-            spawn_cell(&mut cell);
-            cells.push(Mutex::new(cell));
-        }
+    pub fn start(
+        config: SupervisorConfig,
+        cells: &[String],
+        metrics: Arc<Metrics>,
+    ) -> Result<Supervisor, String> {
+        config.validate(cells)?;
+        let cells: Vec<Mutex<CellProcess>> = cells
+            .iter()
+            .zip(&config.commands)
+            .map(|(addr, command)| {
+                let mut cell = CellProcess::new(addr.clone(), command.clone());
+                spawn_cell(&mut cell);
+                Mutex::new(cell)
+            })
+            .collect();
         let quarantined = Arc::new(
-            (0..config.cells.len())
+            (0..cells.len())
                 .map(|_| AtomicBool::new(false))
                 .collect::<Vec<_>>(),
         );
         let shared = Arc::new(Shared {
             cells,
             quarantined,
-            policy,
             config,
             metrics,
             stop: AtomicBool::new(false),
@@ -318,8 +324,7 @@ impl Supervisor {
     /// been quarantined, or the startup timeout elapsed. At least one cell
     /// must be healthy for the fleet to be usable.
     pub fn wait_ready(&self) -> Result<(), String> {
-        let deadline =
-            Instant::now() + Duration::from_millis(self.shared.config.startup_timeout_ms);
+        let deadline = Instant::now() + Duration::from_millis(STARTUP_TIMEOUT_MS);
         loop {
             let mut healthy = 0usize;
             let mut settled = 0usize;
@@ -328,16 +333,7 @@ impl Supervisor {
                     settled += 1;
                     continue;
                 }
-                let mut cell = lock_recover(cell, &self.shared.lock_recoveries);
-                // With probing disabled the monitor never marks health, so
-                // the startup gate probes directly.
-                if !cell.healthy_once && self.shared.config.probe_failure_threshold == 0 {
-                    let timeout = Duration::from_millis(self.shared.config.probe_timeout_ms.max(1));
-                    if probe(&cell.addr, "GET", "/healthz", timeout) {
-                        cell.healthy_once = true;
-                    }
-                }
-                if cell.healthy_once {
+                if lock_recover(cell, &self.shared.lock_recoveries).healthy_once {
                     healthy += 1;
                     settled += 1;
                 }
@@ -351,8 +347,8 @@ impl Supervisor {
             }
             if Instant::now() >= deadline {
                 return Err(format!(
-                    "supervised fleet not ready within {} ms ({healthy}/{} cells healthy)",
-                    self.shared.config.startup_timeout_ms,
+                    "supervised fleet not ready within {STARTUP_TIMEOUT_MS} ms \
+                     ({healthy}/{} cells healthy)",
                     self.shared.cells.len()
                 ));
             }
@@ -583,7 +579,7 @@ fn monitor_loop(shared: &Shared) {
                 cell.child = None;
                 cell.last_exit = Some(exit);
                 let uptime_ms = cell.spawned_at.elapsed().as_millis() as u64;
-                let (verdict, run) = shared.policy.verdict(uptime_ms, cell.rapid_crashes);
+                let (verdict, run) = shared.config.respawn.verdict(uptime_ms, cell.rapid_crashes);
                 cell.rapid_crashes = run;
                 match verdict {
                     RespawnVerdict::Respawn { delay_ms } => {
@@ -598,9 +594,6 @@ fn monitor_loop(shared: &Shared) {
             }
 
             // Liveness probing.
-            if shared.config.probe_failure_threshold == 0 {
-                continue;
-            }
             let interval = Duration::from_millis(shared.config.probe_interval_ms.max(1));
             if cell.last_probe.elapsed() < interval {
                 continue;
@@ -620,7 +613,7 @@ fn monitor_loop(shared: &Shared) {
                 cell.consecutive_probe_failures += 1;
                 cell.probe_failures += 1;
                 Metrics::inc(&shared.metrics.health_probe_failures);
-                if cell.consecutive_probe_failures >= shared.config.probe_failure_threshold {
+                if cell.consecutive_probe_failures >= PROBE_FAILURE_THRESHOLD {
                     // Alive but unresponsive: kill and let the next tick's
                     // exit detection route it through the crash policy.
                     if let Some(child) = cell.child.as_mut() {
@@ -698,44 +691,33 @@ mod tests {
 
     #[test]
     fn config_validation_catches_mismatches() {
+        let cells = vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
         let ok = SupervisorConfig::new(
             vec!["mqo_serve".to_string(), ADDR_PLACEHOLDER.to_string()],
-            vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()],
+            cells.len(),
         );
-        assert!(ok.validate().is_ok());
+        assert!(ok.validate(&cells).is_ok());
         assert_eq!(ok.commands.len(), 2, "template is replicated per cell");
 
         let mut mismatched = ok.clone();
         mismatched.commands.pop();
-        assert!(mismatched.validate().is_err());
+        assert!(mismatched.validate(&cells).is_err());
 
         let mut empty_template = ok.clone();
         empty_template.commands[1].clear();
-        assert!(empty_template.validate().is_err());
+        assert!(empty_template.validate(&cells).is_err());
 
         let mut no_cells = ok;
-        no_cells.cells.clear();
         no_cells.commands.clear();
-        assert!(no_cells.validate().is_err());
+        assert!(no_cells.validate(&[]).is_err());
     }
 
     #[test]
     fn spawn_failure_is_recorded_as_an_instant_exit() {
-        let now = Instant::now();
-        let mut cell = CellProcess {
-            addr: "127.0.0.1:1".to_string(),
-            command: vec!["/nonexistent/mqo-test-binary".to_string()],
-            child: None,
-            spawned_at: now,
-            respawn_due: None,
-            rapid_crashes: 0,
-            consecutive_probe_failures: 0,
-            last_probe: now,
-            healthy_once: false,
-            respawns: 0,
-            probe_failures: 0,
-            last_exit: None,
-        };
+        let mut cell = CellProcess::new(
+            "127.0.0.1:1".to_string(),
+            vec!["/nonexistent/mqo-test-binary".to_string()],
+        );
         spawn_cell(&mut cell);
         assert!(cell.child.is_none());
         assert!(

@@ -73,11 +73,11 @@ fn solo_server() -> Server {
 /// backoff so kills and recoveries play out in test time.
 fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
     let cells: Vec<String> = (0..n).map(|_| free_addr()).collect();
-    let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
+    let mut sup = SupervisorConfig::new(cell_command(), cells.len());
     sup.probe_interval_ms = 50;
     sup.probe_timeout_ms = 500;
-    sup.backoff_initial_ms = 50;
-    sup.backoff_max_ms = 500;
+    sup.respawn.backoff_initial_ms = 50;
+    sup.respawn.backoff_max_ms = 500;
     sup.kill_schedule = kill_schedule;
     let mut config = MqoRouterConfig::new(cells);
     config.supervisor = Some(sup);
@@ -354,14 +354,14 @@ fn crash_looping_cell_is_quarantined_and_its_shards_remap() {
     // over: the supervisor must quarantine it instead of respawning
     // forever, and the router must remap its shard range onto cell 1.
     let cells = vec![free_addr(), free_addr()];
-    let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
+    let mut sup = SupervisorConfig::new(cell_command(), cells.len());
     sup.commands[0] = vec![
         env!("CARGO_BIN_EXE_mqo_serve").to_string(),
         "--definitely-not-a-flag".to_string(),
     ];
-    sup.backoff_initial_ms = 10;
-    sup.backoff_max_ms = 50;
-    sup.crash_loop_threshold = 3;
+    sup.respawn.backoff_initial_ms = 10;
+    sup.respawn.backoff_max_ms = 50;
+    sup.respawn.crash_loop_threshold = 3;
     sup.probe_interval_ms = 50;
     let mut config = MqoRouterConfig::new(cells);
     config.supervisor = Some(sup);
