@@ -164,11 +164,6 @@ impl<S: Sampler> QuantumAnnealer<S> {
         &self.config
     }
 
-    /// The annealing back-end.
-    pub fn sampler(&self) -> &S {
-        &self.sampler
-    }
-
     /// Programs a physically mapped problem and executes the full
     /// gauge/read protocol. Returns reads in chronological order with
     /// simulated device timestamps; energies are evaluated against the true

@@ -1,20 +1,20 @@
-//! Chip packing: placing several independently embedded instances onto
-//! disjoint unit-cell regions of one Chimera graph, so one programming
-//! cycle anneals a whole batch of tenants.
+//! Solo placement: relocating a cached, region-relative TRIAD embedding
+//! onto the first fault-clean block of a Chimera graph.
 //!
-//! The paper's MQO instances occupy only a handful of unit cells (Table 1's
-//! small classes), while the D-Wave 2X exposes a 12×12 cell grid — serving
-//! one request per programming cycle wastes most of the chip. This module
-//! provides the geometry half of multi-tenant packing:
+//! The paper's Algorithm 1 programs one MQO instance per annealer cycle.
+//! The instance's clique embedding depends only on its variable count, so
+//! it is computed once relative to its own region and relocated onto the
+//! device graph at placement time:
 //!
 //! * [`footprint_side`] — the per-instance cell footprint, derived from the
 //!   TRIAD capacity bound (`⌈n/4⌉` cells per side for an `n`-variable
 //!   clique);
 //! * [`canonical_embedding`] — the instance's embedding expressed relative
 //!   to its own region origin (a TRIAD anchored at cell `(0, 0)` of a
-//!   pristine `side × side` region graph). Canonical embeddings are what a
-//!   cache should store: they are placement-independent, so a warm hit
-//!   relocates to wherever the placer finds room without re-embedding;
+//!   pristine `side × side` region graph, [`region_graph`]). Canonical
+//!   embeddings are what a cache should store: they are
+//!   placement-independent, so a warm hit relocates to whichever origin the
+//!   placer accepts without re-embedding;
 //! * [`translate_embedding`] — relocates a canonical embedding to a concrete
 //!   origin on the real graph. Chimera is translation-invariant: every
 //!   intra-region coupler exists at every origin, so the translated chains
@@ -22,22 +22,20 @@
 //! * [`Placer`] — a deterministic first-fit placer over the cell grid with
 //!   fault-aware derating: a region is only accepted when every qubit the
 //!   translated chains touch is functional, so dead qubits exclude exactly
-//!   the placements they would corrupt;
-//! * [`ffd_order`] / [`pack`] — first-fit-decreasing over footprints
-//!   (stable sort, so equal footprints keep arrival order and the whole
-//!   pipeline stays deterministic: same queue order → same placement).
+//!   the placements they would corrupt. A fresh placer scans the same
+//!   row-major origins as [`crate::embedding::reembed`]'s TRIAD scan and
+//!   accepts the same first one.
 //!
 //! Bit-identity note: the TRIAD construction is origin-relative, so
 //! translating the canonical embedding to origin `(r, c)` reproduces
 //! `triad(graph, r, c, n)` verbatim. Downstream, the physical mapping
 //! assigns dense spin indices chain-by-chain in chain order and the device's
 //! fault/gauge/read streams are keyed on dense indices and the request seed
-//! — never on chip location — so a tenant's samples are bit-identical
+//! — never on chip location — so an instance's samples are bit-identical
 //! wherever its region lands.
 
 use crate::embedding::{triad, Embedding, EmbeddingError};
 use crate::graph::{ChimeraGraph, Side, CELL_SIZE, HALF_CELL};
-use serde::{Deserialize, Serialize};
 
 /// Cells per side of the square region an `num_vars`-variable instance
 /// needs under the TRIAD bound.
@@ -69,9 +67,9 @@ pub fn region_graph(num_vars: usize) -> ChimeraGraph {
     ChimeraGraph::new(side, side)
 }
 
-/// A placed tenant's cell region: a `side × side` block of unit cells
+/// A placed instance's cell region: a `side × side` block of unit cells
 /// anchored at `(origin_row, origin_col)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     /// Top cell row of the block.
     pub origin_row: usize,
@@ -79,16 +77,6 @@ pub struct Region {
     pub origin_col: usize,
     /// Cells per side.
     pub side: usize,
-}
-
-impl Region {
-    /// Whether a cell lies inside the region.
-    pub fn contains(&self, row: usize, col: usize) -> bool {
-        row >= self.origin_row
-            && row < self.origin_row + self.side
-            && col >= self.origin_col
-            && col < self.origin_col + self.side
-    }
 }
 
 /// Relocates a canonical region embedding (chains over a `side × side`
@@ -135,10 +123,10 @@ pub fn translate_embedding(
     Embedding::new(chains, graph.num_qubits())
 }
 
-/// A tenant successfully placed on the chip.
+/// An instance successfully placed on the chip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
-    /// The cell block the tenant owns.
+    /// The cell block the instance owns.
     pub region: Region,
     /// The canonical embedding translated to that block.
     pub embedding: Embedding,
@@ -167,14 +155,9 @@ impl<'a> Placer<'a> {
         }
     }
 
-    /// Number of cells not yet claimed by a placement.
-    pub fn cells_free(&self) -> usize {
-        self.free.iter().filter(|&&f| f).count()
-    }
-
     /// Places a canonical embedding on the first free, fully functional
     /// `side × side` block (row-major scan), claiming its cells. Returns
-    /// `None` — declining the tenant — when no such block remains.
+    /// `None` when no such block remains.
     pub fn place(&mut self, canonical: &Embedding, side: usize) -> Option<Placement> {
         if side == 0 || side > self.graph.rows() || side > self.graph.cols() {
             return None;
@@ -219,29 +202,6 @@ impl<'a> Placer<'a> {
         }
         None
     }
-}
-
-/// First-fit-decreasing placement order: indices of `sides` sorted by
-/// descending footprint. The sort is stable, so equal footprints keep their
-/// arrival order and the order is a pure function of the input.
-pub fn ffd_order(sides: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sides.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(sides[i]));
-    order
-}
-
-/// Packs a batch of instances (given by variable count) onto `graph` in
-/// first-fit-decreasing order. The result is aligned with the input:
-/// `None` marks a declined tenant.
-pub fn pack(graph: &ChimeraGraph, num_vars: &[usize]) -> Vec<Option<Placement>> {
-    let sides: Vec<usize> = num_vars.iter().map(|&n| footprint_side(n)).collect();
-    let mut placer = Placer::new(graph);
-    let mut out: Vec<Option<Placement>> = num_vars.iter().map(|_| None).collect();
-    for &i in &ffd_order(&sides) {
-        let canonical = canonical_embedding(num_vars[i]);
-        out[i] = placer.place(&canonical, sides[i]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -306,21 +266,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(0, 0), (0, 1), (1, 0), (1, 1)]
         );
-        assert_eq!(placer.cells_free(), 0);
         assert!(placer.place(&canonical, 1).is_none(), "full chip declines");
-    }
-
-    #[test]
-    fn placed_tenants_never_share_a_qubit() {
-        let g = ChimeraGraph::new(4, 4);
-        let placements = pack(&g, &[5, 4, 8, 3, 2]);
-        let mut seen = std::collections::HashSet::new();
-        for p in placements.iter().flatten() {
-            for &q in p.embedding.chains().iter().flatten() {
-                assert!(seen.insert(q), "{q} claimed twice");
-            }
-        }
-        assert!(placements.iter().all(Option::is_some));
     }
 
     #[test]
@@ -341,42 +287,12 @@ mod tests {
         assert_eq!((p1.region.origin_row, p1.region.origin_col), (1, 0));
     }
 
-    #[test]
-    fn ffd_is_decreasing_and_stable() {
-        let sides = [1, 3, 2, 3, 1, 2];
-        assert_eq!(ffd_order(&sides), vec![1, 3, 2, 5, 0, 4]);
-    }
-
-    #[test]
-    fn pack_declines_the_overflow_tenant_not_the_batch() {
-        let g = ChimeraGraph::new(2, 2);
-        // Three 2-cell-side tenants cannot all fit on a 2×2 grid: FFD
-        // places the first and declines the rest; the single-cell tenant
-        // would fit but its cells are gone after the big one lands... on a
-        // 2×2 grid a side-2 block takes everything.
-        let placements = pack(&g, &[8, 8, 2]);
-        assert!(placements[0].is_some());
-        assert!(placements[1].is_none());
-        assert!(placements[2].is_none());
-    }
-
-    #[test]
-    fn region_contains_its_cells_only() {
-        let r = Region {
-            origin_row: 1,
-            origin_col: 2,
-            side: 2,
-        };
-        assert!(r.contains(1, 2) && r.contains(2, 3));
-        assert!(!r.contains(0, 2) && !r.contains(1, 4) && !r.contains(3, 3));
-    }
-
     mod prop {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// Same queue order → same placement, and placements are
+            /// Same call order → same placement, and placements are
             /// always pairwise disjoint with in-bounds, working qubits.
             #[test]
             fn placer_is_deterministic_and_disjoint(
@@ -390,8 +306,15 @@ mod tests {
                 };
                 g.break_random_qubits((broken_seed % 16) as usize, &mut rng);
 
-                let a = pack(&g, &sizes);
-                let b = pack(&g, &sizes);
+                let place_all = || {
+                    let mut placer = Placer::new(&g);
+                    sizes
+                        .iter()
+                        .map(|&n| placer.place(&canonical_embedding(n), footprint_side(n)))
+                        .collect::<Vec<_>>()
+                };
+                let a = place_all();
+                let b = place_all();
                 prop_assert_eq!(&a, &b);
 
                 let mut seen = std::collections::HashSet::new();
@@ -401,6 +324,34 @@ mod tests {
                         prop_assert!(seen.insert(q), "{} claimed twice", q);
                     }
                 }
+            }
+        }
+
+        proptest! {
+            /// A fresh placer accepts exactly the origin the legacy TRIAD
+            /// scan in `reembed` accepts: the first row-major origin whose
+            /// TRIAD avoids every broken qubit, or none on either side.
+            #[test]
+            fn fresh_placer_matches_the_legacy_triad_scan(
+                n in 1usize..=20,
+                broken in 0usize..40,
+                seed in 0u64..1024,
+            ) {
+                let mut g = ChimeraGraph::new(6, 6);
+                let mut rng = {
+                    use rand::SeedableRng;
+                    rand_chacha::ChaCha8Rng::seed_from_u64(seed)
+                };
+                g.break_random_qubits(broken, &mut rng);
+
+                let side = footprint_side(n);
+                let placed = Placer::new(&g)
+                    .place(&canonical_embedding(n), side)
+                    .map(|p| p.embedding);
+                let legacy = (0..=g.rows().saturating_sub(side))
+                    .flat_map(|row| (0..=g.cols().saturating_sub(side)).map(move |col| (row, col)))
+                    .find_map(|(row, col)| triad::triad(&g, row, col, n).ok());
+                prop_assert_eq!(placed, legacy);
             }
         }
 

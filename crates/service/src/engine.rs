@@ -362,21 +362,18 @@ impl SolveEngine {
     }
 
     /// Places one instance on the device graph: the cached canonical TRIAD
-    /// relocated to the first free fault-clean region (which, on a fresh
-    /// placer, scans exactly the origins the legacy TRIAD embedder scans —
-    /// solo answers are unchanged). Instances the placer cannot host fall
-    /// back to the legacy full-graph embedder, heuristic included.
+    /// relocated to the first fault-clean region of a fresh placer, which
+    /// scans exactly the origins the legacy TRIAD embedder scans, so answers
+    /// are unchanged. Instances the placer cannot host fall back to the
+    /// legacy full-graph embedder, heuristic included.
     fn placed_embedding(
         &self,
         logical: &LogicalMapping,
-        placer: &mut Placer<'_>,
     ) -> Result<(Embedding, bool), EmbeddingError> {
         let graph = &self.config.graph;
         let (canonical, cache_hit, side) = self.canonical_embedding(logical);
-        if side <= graph.rows().min(graph.cols()) {
-            if let Some(placement) = placer.place(&canonical, side) {
-                return Ok((placement.embedding, cache_hit));
-            }
+        if let Some(placement) = Placer::new(graph).place(&canonical, side) {
+            return Ok((placement.embedding, cache_hit));
         }
         let key = CacheKey {
             structure: logical.qubo().structure_hash(),
@@ -420,9 +417,8 @@ impl SolveEngine {
 
     fn solve_annealer(&self, req: &SolveRequest) -> Result<SolveResponse, AnnealerFailure> {
         let logical = LogicalMapping::new(&req.problem, self.config.epsilon);
-        let mut placer = Placer::new(&self.config.graph);
         let (embedding, cache_hit) = self
-            .placed_embedding(&logical, &mut placer)
+            .placed_embedding(&logical)
             .map_err(AnnealerFailure::Embedding)?;
         let solver = QuantumMqoSolver {
             graph: self.config.graph.clone(),
