@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_bench::algorithms::{run_all, CompetitorConfig};
-use mqo_bench::harness::{quantum_speedup, run_class};
+use mqo_bench::harness::{quantum_speedup, run_class, FIRST_READ};
 use mqo_chimera::capacity;
 use mqo_chimera::embedding::triad;
 use mqo_chimera::graph::ChimeraGraph;
@@ -61,8 +61,7 @@ fn bench_experiments(c: &mut Criterion) {
 
     g.bench_function("fig6_speedup", |b| {
         let class = run_class(&graph, 2, 1, &fast_cfg());
-        let first_read = Duration::from_secs_f64(376e-6);
-        b.iter(|| quantum_speedup(&class.instances[0], first_read))
+        b.iter(|| quantum_speedup(&class.instances[0], FIRST_READ))
     });
 
     g.bench_function("fig7_capacity", |b| {

@@ -8,6 +8,11 @@
 //! scaled-cost axis. QA time is simulated device time (376 µs per read);
 //! classical times are wall-clock, exactly the comparison the paper makes.
 //!
+//! Figure 6 — the average quantum speedup per class as a function of
+//! qubits-per-variable — falls out of the same runs
+//! ([`mqo_bench::harness::class_speedup`]) and is written to
+//! `figure6.csv` alongside them.
+//!
 //! Usage:
 //!   cargo run --release -p mqo-bench --bin anytime            # all classes, fast
 //!   cargo run --release -p mqo-bench --bin anytime -- --plans 2 --full
@@ -16,14 +21,13 @@
 use mqo_bench::algorithms::CompetitorConfig;
 use mqo_bench::cli::HarnessOptions;
 use mqo_bench::harness::{
-    cross_check_class, paper_machine, quantum_speedup, run_class, small_machine,
+    class_speedup, cross_check_class, paper_machine, run_class, small_machine,
 };
 use mqo_bench::report::{
     checkpoint_csv, checkpoint_table, checkpoints_up_to, fault_csv, fault_table, write_result_file,
 };
 use mqo_workload::paper::PAPER_CLASSES;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 fn main() {
     let opts = HarnessOptions::from_env();
@@ -52,7 +56,8 @@ fn main() {
     let mut md = String::from("# Figures 4 & 5: cost vs optimization time\n\n");
     let mut csv = String::new();
     // Figure 6 falls out of the same runs: collect it here too.
-    let first_read = Duration::from_secs_f64(376e-6);
+    let mut fig6_csv =
+        String::from("plans,queries,qubits_per_variable,avg_speedup,lower_bound_only\n");
     let mut fig6 = String::from(
         "\n## Figure 6 (from the same runs): average quantum speedup\n\n\
          | class | qubits/variable | avg speedup | lower-bound instances |\n|---|---|---|---|\n",
@@ -78,25 +83,25 @@ fn main() {
             csv.push_str(c.split_once('\n').map(|x| x.1).unwrap_or(""));
         }
 
-        let mut speedups = Vec::new();
-        let mut bounded = 0usize;
-        for inst in &class.instances {
-            match quantum_speedup(inst, first_read) {
-                Some(s) => speedups.push(s),
-                None => {
-                    bounded += 1;
-                    speedups.push(opts.budget.as_secs_f64() / first_read.as_secs_f64());
-                }
-            }
-        }
-        let avg = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
+        let speedup = class_speedup(&class, opts.budget);
         let _ = writeln!(
             fig6,
-            "| {} | {:.2} | {}{avg:.0}× | {bounded}/{} |",
+            "| {} | {:.2} | {}{:.0}× | {}/{} |",
             class.label(),
             class.qubits_per_variable,
-            if bounded > 0 { "≥ " } else { "" },
+            speedup.marker(),
+            speedup.average,
+            speedup.bounded,
             class.instances.len()
+        );
+        let _ = writeln!(
+            fig6_csv,
+            "{},{},{:.4},{:.2},{}",
+            plans,
+            class.queries,
+            class.qubits_per_variable,
+            speedup.average,
+            speedup.bounded > 0
         );
         if opts.cross_check {
             let audit = cross_check_class(&graph, &class, opts.budget);
@@ -130,6 +135,9 @@ fn main() {
         eprintln!("wrote {}", p.display());
     }
     if let Some(p) = write_result_file(&opts.out_dir, "figures4_5.csv", &csv) {
+        eprintln!("wrote {}", p.display());
+    }
+    if let Some(p) = write_result_file(&opts.out_dir, "figure6.csv", &fig6_csv) {
         eprintln!("wrote {}", p.display());
     }
     // Fault/resilience accounting of the QA track (all-zero on clean runs).

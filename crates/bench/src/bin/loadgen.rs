@@ -268,16 +268,10 @@ fn abort_mid_request(addr: SocketAddr, raw: &[u8]) {
     }
 }
 
-/// Full request bytes for a manual (non-`roundtrip`) send.
+/// Full `connection: close` request bytes for a manual (non-`roundtrip`)
+/// send.
 fn raw_request(addr: SocketAddr, body: &[u8]) -> Vec<u8> {
-    let mut raw = format!(
-        "POST /solve HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\n\
-         content-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    raw.extend_from_slice(body);
-    raw
+    render_request("POST", "/solve", &addr.to_string(), body, true)
 }
 
 /// Outcome of one `connection: close` exchange:
@@ -293,13 +287,7 @@ fn close_roundtrip(addr: SocketAddr, body: &[u8]) -> std::io::Result<CloseRoundt
     let connect_us = connecting.elapsed().as_micros() as u64;
     stream.set_nodelay(true)?;
     let sent = Instant::now();
-    stream.write_all(&render_request(
-        "POST",
-        "/solve",
-        &addr.to_string(),
-        body,
-        true,
-    ))?;
+    stream.write_all(&raw_request(addr, body))?;
     let mut reader = BufReader::new(stream);
     let parts = read_response(&mut reader)?;
     Ok((
@@ -405,39 +393,14 @@ fn classify(i: usize, status: u16, reply: &[u8], latency_us: u64, chaos_active: 
 /// Sends the request a few bytes at a time (a cooperative slowloris that
 /// stays inside the server's request deadline), then reads the response.
 fn slow_roundtrip(addr: SocketAddr, raw: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
-    use std::io::{BufRead, BufReader, Read};
     let mut stream = std::net::TcpStream::connect(addr)?;
     for chunk in raw.chunks(32) {
         stream.write_all(chunk)?;
         stream.flush()?;
         std::thread::sleep(Duration::from_millis(1));
     }
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        if header.trim_end().is_empty() {
-            break;
-        }
-        if let Some((name, v)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, body))
+    let parts = read_response(&mut std::io::BufReader::new(stream))?;
+    Ok((parts.status, parts.body))
 }
 
 fn main() {

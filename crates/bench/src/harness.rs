@@ -218,6 +218,10 @@ pub fn mean_normalised_cost(class: &ClassResult, algo: &str, checkpoint: Duratio
     (n == class.instances.len() && n > 0).then(|| sum / n as f64)
 }
 
+/// Simulated device time of QA's first annealing run — one read — the
+/// quality target and the denominator of the paper's Figure 6 speedup.
+pub const FIRST_READ: Duration = Duration::from_micros(376);
+
 /// The paper's Figure 6 speedup for one instance: time until the *best*
 /// classical competitor matches the quality of QA's first annealing run,
 /// divided by the duration of that first run. `None` when no classical
@@ -232,6 +236,52 @@ pub fn quantum_speedup(inst: &InstanceResult, first_read: Duration) -> Option<f6
         .filter_map(|r| r.trace.time_to_reach(target + 1e-9))
         .min()?;
     Some(fastest_classical.as_secs_f64() / first_read.as_secs_f64())
+}
+
+/// One class's Figure 6 point: the mean [`quantum_speedup`] after
+/// [`FIRST_READ`] over the class's instances.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClassSpeedup {
+    /// Mean speedup over the class's instances.
+    pub average: f64,
+    /// Instances where no classical competitor matched QA's first read
+    /// within the budget; each contributes the lower bound
+    /// `budget / FIRST_READ`, which makes `average` a lower bound too.
+    pub bounded: usize,
+}
+
+impl ClassSpeedup {
+    /// `"≥ "` when the average is only a lower bound, else `""`.
+    #[must_use]
+    pub fn marker(&self) -> &'static str {
+        if self.bounded > 0 {
+            "≥ "
+        } else {
+            ""
+        }
+    }
+}
+
+/// Averages the Figure 6 speedup over a class run with the classical
+/// `budget`, applying the paper's lower-bound rule to unmatched instances.
+#[must_use]
+pub fn class_speedup(class: &ClassResult, budget: Duration) -> ClassSpeedup {
+    let bound = budget.as_secs_f64() / FIRST_READ.as_secs_f64();
+    let mut bounded = 0usize;
+    let sum: f64 = class
+        .instances
+        .iter()
+        .map(|inst| {
+            quantum_speedup(inst, FIRST_READ).unwrap_or_else(|| {
+                bounded += 1;
+                bound
+            })
+        })
+        .sum();
+    ClassSpeedup {
+        average: sum / class.instances.len().max(1) as f64,
+        bounded,
+    }
 }
 
 #[cfg(test)]
@@ -286,13 +336,57 @@ mod tests {
     fn speedup_is_positive_when_classical_matches_qa() {
         let g = ChimeraGraph::new(2, 2);
         let res = run_class(&g, 2, 1, &fast_cfg());
-        let first_read = Duration::from_secs_f64(376e-6);
         // On toy instances the classical solvers reach QA quality, so the
         // speedup is defined and positive.
-        let s = quantum_speedup(&res.instances[0], first_read);
+        let s = quantum_speedup(&res.instances[0], FIRST_READ);
         if let Some(v) = s {
             assert!(v > 0.0);
         }
+    }
+
+    #[test]
+    fn class_speedup_averages_with_the_lower_bound_rule() {
+        let run = |name: &str, at: Duration, cost: f64| {
+            let mut trace = Trace::new();
+            trace.record(at, cost);
+            AlgoRun {
+                name: name.to_string(),
+                trace,
+                proved_optimal: false,
+                resilience: None,
+            }
+        };
+        let instance = |qa_cost: f64, climb_cost: f64| InstanceResult {
+            seed: 0,
+            queries: 1,
+            best_known: qa_cost.min(climb_cost),
+            runs: vec![
+                run("QA", FIRST_READ, qa_cost),
+                run("CLIMB", Duration::from_millis(1), climb_cost),
+            ],
+        };
+        let class = |instances| ClassResult {
+            plans: 2,
+            queries: 1,
+            qubits_per_variable: 1.0,
+            instances,
+        };
+        let budget = Duration::from_millis(100);
+        let matched = 1e-3 / FIRST_READ.as_secs_f64();
+        let bound = 0.1 / FIRST_READ.as_secs_f64();
+
+        let exact = class_speedup(&class(vec![instance(10.0, 10.0)]), budget);
+        assert_eq!(exact.bounded, 0);
+        assert!((exact.average - matched).abs() < 1e-9);
+        assert_eq!(exact.marker(), "");
+
+        // CLIMB never reaches QA's first-read cost: that instance counts
+        // as `budget / FIRST_READ` and the average becomes a lower bound.
+        let mixed = class(vec![instance(10.0, 10.0), instance(5.0, 8.0)]);
+        let speedup = class_speedup(&mixed, budget);
+        assert_eq!(speedup.bounded, 1);
+        assert!((speedup.average - (matched + bound) / 2.0).abs() < 1e-9);
+        assert_eq!(speedup.marker(), "≥ ");
     }
 
     #[test]

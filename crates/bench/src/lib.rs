@@ -10,8 +10,7 @@
 //! |---|---|
 //! | `topology` | Figures 1–3 (Chimera cell, TRIAD patterns, clustered pattern) |
 //! | `table1`   | Table 1 (ms until LIN-MQO finds the optimum) |
-//! | `anytime`  | Figures 4 and 5 (cost vs. optimization time, six competitors) |
-//! | `speedup`  | Figure 6 (quantum speedup vs. qubits per variable) |
+//! | `anytime`  | Figures 4 and 5 (cost vs. optimization time, six competitors), and Figure 6 (quantum speedup vs. qubits per variable) from the same runs |
 //! | `capacity` | Figure 7 (representable problem dimensions per qubit budget) |
 //!
 //! Every binary accepts `--help`; defaults run a scaled-down protocol that

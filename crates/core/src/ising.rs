@@ -359,13 +359,6 @@ pub fn spins_to_bits(s: &[i8]) -> Vec<bool> {
     s.iter().map(|&v| v > 0).collect()
 }
 
-/// Like [`spins_to_bits`], reusing `out` (cleared first) to avoid a fresh
-/// allocation in hot read loops.
-pub fn spins_to_bits_into(s: &[i8], out: &mut Vec<bool>) {
-    out.clear();
-    out.extend(s.iter().map(|&v| v > 0));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

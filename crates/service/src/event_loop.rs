@@ -400,6 +400,8 @@ struct Shard {
     shutdown: Arc<AtomicBool>,
     config: LoopConfig,
     /// Per-connection input-buffer cap: a full head plus a full body.
+    /// `parse_request` never waits on a buffer this long
+    /// (`proptest_http.rs` checks it), so the cap cannot starve a request.
     read_cap: usize,
     conns: HashMap<u64, Conn>,
     /// token → connection id, for routing completions.
@@ -661,8 +663,8 @@ impl Shard {
             match parse_request(&conn.buf, &self.config.http) {
                 Ok(None) => {
                     if conn.read_closed {
-                        // Peer half-closed mid-request: the blocking reader
-                        // answered this "closed mid-headers" case with 400.
+                        // Peer half-closed mid-request: the rest can never
+                        // arrive, so the partial request is a typed 400.
                         let reject = Reject::InvalidRequest {
                             detail: "connection closed mid-request".to_string(),
                         };
@@ -739,12 +741,6 @@ impl Shard {
                     // requests still answer, after the responses queued
                     // ahead of them flush in order.
                     let reject = match &e {
-                        HttpError::Timeout => {
-                            Metrics::inc(&self.metrics.rejected_request_timeout);
-                            Reject::RequestTimeout {
-                                deadline_ms: self.config.request_deadline_ms,
-                            }
-                        }
                         HttpError::LineTooLong { .. } | HttpError::TooManyHeaders { .. } => {
                             Metrics::inc(&self.metrics.rejected_header_limit);
                             Reject::HeaderLimit {

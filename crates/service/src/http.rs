@@ -2,30 +2,33 @@
 //! JSON API (request line, headers, `Content-Length` bodies). No external
 //! dependencies: the build environment is offline.
 //!
-//! Two parsing surfaces share the same limits and typed errors:
+//! One codec serves both ends of every connection in the service:
 //!
-//! * [`read_request`] — the original blocking reader over any
-//!   [`RequestSource`], one request per call;
-//! * [`parse_request`] — an incremental parser over a connection buffer for
-//!   the nonblocking event loop (DESIGN.md §13): `Ok(None)` means "need
-//!   more bytes", and every cap (line bytes, header count, body size) is
-//!   enforced even on partial data, so a connection can never make the
-//!   server buffer without bound while waiting for the rest of a request.
+//! * [`parse_request`] — the only request parser: an incremental parser over
+//!   a connection buffer for the nonblocking event loop (DESIGN.md §13).
+//!   `Ok(None)` means "need more bytes"; every cap (line bytes, header
+//!   count, body size) is enforced even on partial data, so a connection
+//!   can never make the server buffer without bound while waiting for the
+//!   rest of a request;
+//! * [`render_response`] — the server's response writer;
+//! * [`render_request`] + [`read_response`] — the only client, behind
+//!   [`roundtrip`] and the pooled [`KeepAliveClient`] that the router's
+//!   cell hops, the supervisor's probes and the load generator use.
 //!
-//! Hardening (DESIGN.md §9): every read is bounded three ways —
+//! Hardening (DESIGN.md §9): parsing is bounded and total —
 //!
 //! * **bytes** — the request line and each header line have byte caps, the
 //!   header count is capped, and `Content-Length` is capped, so a hostile
 //!   client can never make the server buffer without bound;
-//! * **time** — an optional whole-request deadline ([`HttpLimits::deadline`])
-//!   re-arms the socket read timeout before every line, so a slowloris
-//!   client trickling one byte per second is cut off with a typed 408;
-//! * **totality** — [`read_request`] is generic over any [`RequestSource`]
-//!   (a live socket or an in-memory byte slice), and the property tests
-//!   feed it arbitrary byte streams: it must always return `Ok` or a typed
-//!   [`HttpError`], never panic.
+//! * **totality** — arbitrary byte prefixes produce a request, "need more
+//!   bytes", or a typed [`HttpError`], never a panic (fuzzed in
+//!   `proptest_http.rs`).
+//!
+//! Time is the event loop's bound, not the parser's: a partial request arms
+//! a wall-clock deadline there, and a slowloris client trickling one byte
+//! per second is cut off with a typed 408.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -40,7 +43,7 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Byte, count, and time bounds applied while reading one request.
+/// Byte and count bounds applied while parsing one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpLimits {
     /// Cap on the declared `Content-Length`, bytes.
@@ -50,10 +53,6 @@ pub struct HttpLimits {
     pub max_line_bytes: usize,
     /// Cap on the number of header lines.
     pub max_header_count: usize,
-    /// Whole-request wall-clock deadline; reads past it fail with
-    /// [`HttpError::Timeout`]. `None` disables the deadline (in-memory
-    /// parsing, tests).
-    pub deadline: Option<Instant>,
 }
 
 impl Default for HttpLimits {
@@ -62,12 +61,11 @@ impl Default for HttpLimits {
             max_body: 1 << 20,
             max_line_bytes: 8 << 10,
             max_header_count: 64,
-            deadline: None,
         }
     }
 }
 
-/// Errors while reading a request; each maps to a status via
+/// Errors while parsing a request; each maps to a status via
 /// [`HttpError::http_status`].
 #[derive(Debug)]
 pub enum HttpError {
@@ -80,8 +78,6 @@ pub enum HttpError {
         /// Configured maximum.
         limit: usize,
     },
-    /// The whole-request deadline expired mid-read (408).
-    Timeout,
     /// A request or header line exceeded the byte cap (431).
     LineTooLong {
         /// Configured cap, bytes.
@@ -92,19 +88,6 @@ pub enum HttpError {
         /// Configured cap.
         limit: usize,
     },
-    /// Socket-level failure (no response is possible).
-    Io(io::Error),
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        // Armed read timeouts surface as WouldBlock or TimedOut depending
-        // on the platform; both mean the deadline struck.
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => HttpError::Timeout,
-            _ => HttpError::Io(e),
-        }
-    }
 }
 
 impl HttpError {
@@ -114,9 +97,7 @@ impl HttpError {
         match self {
             HttpError::BadRequest(_) => 400,
             HttpError::BodyTooLarge { .. } => 413,
-            HttpError::Timeout => 408,
             HttpError::LineTooLong { .. } | HttpError::TooManyHeaders { .. } => 431,
-            HttpError::Io(_) => 400,
         }
     }
 }
@@ -128,137 +109,14 @@ impl std::fmt::Display for HttpError {
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte cap")
             }
-            HttpError::Timeout => write!(f, "request deadline expired mid-read"),
             HttpError::LineTooLong { limit } => {
                 write!(f, "request/header line exceeds the {limit}-byte cap")
             }
             HttpError::TooManyHeaders { limit } => {
                 write!(f, "more than {limit} header lines")
             }
-            HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
-}
-
-/// Anything a request can be read from: a live socket (which can arm
-/// per-read timeouts toward the deadline) or an in-memory byte slice (the
-/// property tests' fuzzing surface, where arming is a no-op).
-pub trait RequestSource: Read {
-    /// Arms an I/O timeout of `remaining` for the next read.
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        let _ = remaining;
-        Ok(())
-    }
-}
-
-impl RequestSource for TcpStream {
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        // Zero would mean "no timeout"; clamp up so an already-struck
-        // deadline still produces a fast WouldBlock/TimedOut.
-        self.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-    }
-}
-
-impl RequestSource for &[u8] {}
-
-impl<S: RequestSource + ?Sized> RequestSource for &mut S {
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        (**self).arm_timeout(remaining)
-    }
-}
-
-/// Reads one `\n`-terminated line, enforcing the byte cap and the deadline.
-/// Returns `None` at a clean EOF before any byte of the line.
-fn read_line_bounded<S: RequestSource>(
-    reader: &mut BufReader<S>,
-    limits: &HttpLimits,
-) -> Result<Option<String>, HttpError> {
-    if let Some(deadline) = limits.deadline {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HttpError::Timeout);
-        }
-        reader.get_mut().arm_timeout(deadline - now)?;
-    }
-    let mut buf = Vec::new();
-    let cap = limits.max_line_bytes;
-    let n = reader
-        .by_ref()
-        .take(cap as u64 + 1)
-        .read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.len() > cap || (buf.len() == cap && buf.last() != Some(&b'\n')) {
-        return Err(HttpError::LineTooLong { limit: cap });
-    }
-    // Headers are ASCII in practice; anything else is malformed input, not
-    // a reason to panic.
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| HttpError::BadRequest("non-UTF-8 bytes in request line or headers"))
-}
-
-/// Reads one request from the source under `limits`. Total: every input —
-/// including adversarial byte streams and stalled sockets — produces `Ok`
-/// or a typed [`HttpError`], never a panic or an unbounded buffer.
-pub fn read_request<S: RequestSource>(
-    source: &mut S,
-    limits: &HttpLimits,
-) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(source);
-    let line = read_line_bounded(&mut reader, limits)?
-        .ok_or(HttpError::BadRequest("empty request line"))?;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or(HttpError::BadRequest("empty request line"))?
-        .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or(HttpError::BadRequest("missing request target"))?;
-    let path = target.split('?').next().unwrap_or(target).to_string();
-
-    let mut content_length = 0usize;
-    let mut header_count = 0usize;
-    loop {
-        let header = read_line_bounded(&mut reader, limits)?
-            .ok_or(HttpError::BadRequest("connection closed mid-headers"))?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        header_count += 1;
-        if header_count > limits.max_header_count {
-            return Err(HttpError::TooManyHeaders {
-                limit: limits.max_header_count,
-            });
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest("unparseable content-length"))?;
-            }
-        }
-    }
-    if content_length > limits.max_body {
-        return Err(HttpError::BodyTooLarge {
-            declared: content_length,
-            limit: limits.max_body,
-        });
-    }
-    if let Some(deadline) = limits.deadline {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HttpError::Timeout);
-        }
-        reader.get_mut().arm_timeout(deadline - now)?;
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Request { method, path, body })
 }
 
 /// A request parsed incrementally out of a connection buffer by
@@ -277,8 +135,7 @@ pub struct ParsedRequest {
 }
 
 /// Locates the next `\n`-terminated line starting at `start`, enforcing the
-/// same byte cap as the blocking reader: the line including its `\n` must
-/// fit in `cap` bytes. `Ok(None)` means the line is incomplete but still
+/// line byte cap: the line including its `\n` must fit in `cap` bytes. `Ok(None)` means the line is incomplete but still
 /// within the cap.
 fn scan_line(buf: &[u8], start: usize, cap: usize) -> Result<Option<(usize, usize)>, HttpError> {
     let rest = &buf[start..];
@@ -305,14 +162,16 @@ fn line_str(line: &[u8]) -> Result<&str, HttpError> {
 /// * `Ok(Some(parsed))` — a complete request; the caller drains
 ///   `parsed.consumed` bytes and may call again on the remainder (pipelining).
 /// * `Ok(None)` — the bytes so far are a valid prefix; read more and retry.
-///   Buffering while in this state is bounded: the head is capped by
-///   `max_line_bytes × max_header_count` and the body by `max_body`.
+///   Returned only while `buf` is shorter than
+///   `max_body + max_line_bytes × (max_header_count + 2)` — the request
+///   line, the headers and the blank line are each capped by
+///   `max_line_bytes`, the body by `max_body` — so the event loop's
+///   per-connection read cap never starves a request it is waiting on.
 /// * `Err(_)` — the prefix can never become a valid request; the caller
 ///   answers the typed status and closes.
 ///
-/// Total like [`read_request`]: arbitrary byte prefixes must produce one of
-/// the three outcomes, never a panic (fuzzed in `proptest_http.rs`), and on
-/// complete inputs the outcome agrees with the blocking reader.
+/// Total: arbitrary byte prefixes must produce one of the three outcomes,
+/// never a panic (fuzzed in `proptest_http.rs`).
 pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedRequest>, HttpError> {
     let cap = limits.max_line_bytes;
     let (line_end, mut cursor) = match scan_line(buf, 0, cap)? {
@@ -329,8 +188,8 @@ pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedReq
         .next()
         .ok_or(HttpError::BadRequest("missing request target"))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
-    // HTTP/1.0 defaults to close; everything else (1.1, or the version-less
-    // requests the blocking reader also tolerates) defaults to keep-alive.
+    // HTTP/1.0 defaults to close; everything else (1.1, or a version-less
+    // request line) defaults to keep-alive.
     let mut close = parts.next() == Some("HTTP/1.0");
 
     let mut content_length = 0usize;
@@ -562,8 +421,8 @@ impl KeepAliveClient {
         Self::with_timeout(addr, None)
     }
 
-    /// A client for `addr` arming `timeout` on reads and writes of every
-    /// connection it opens.
+    /// A client for `addr` bounding the connect, and every read and write,
+    /// of each connection it opens by `timeout`.
     #[must_use]
     pub fn with_timeout(addr: std::net::SocketAddr, timeout: Option<Duration>) -> Self {
         KeepAliveClient {
@@ -598,7 +457,10 @@ impl KeepAliveClient {
 
     fn connect(&mut self) -> io::Result<()> {
         let started = Instant::now();
-        let stream = TcpStream::connect(self.addr)?;
+        let stream = match self.io_timeout {
+            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
+            None => TcpStream::connect(self.addr)?,
+        };
         let _ = stream.set_nodelay(true);
         if let Some(timeout) = self.io_timeout {
             stream.set_read_timeout(Some(timeout))?;
@@ -698,7 +560,45 @@ impl KeepAliveClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
+
+    /// Accepts one loopback connection and answers `count` requests on it,
+    /// parsing with [`parse_request`] from one buffer as the event loop
+    /// does (pipelined requests share read segments). A parse error is
+    /// answered with its status and returned; the connection closes when
+    /// this returns.
+    fn serve(
+        listener: &TcpListener,
+        limits: &HttpLimits,
+        count: usize,
+        mut respond: impl FnMut(usize, Request) -> Vec<u8>,
+    ) -> Result<(), HttpError> {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut served = 0;
+        while served < count {
+            match parse_request(&buf, limits) {
+                Ok(Some(parsed)) => {
+                    stream.write_all(&respond(served, parsed.request)).unwrap();
+                    buf.drain(..parsed.consumed);
+                    served += 1;
+                }
+                Ok(None) => {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed before sending all requests");
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+                Err(e) => {
+                    let answer = render_response(e.http_status(), "{}", &[], true);
+                    stream.write_all(&answer).unwrap();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
 
     /// Exercises the parser + writer over a real loopback socket.
     #[test]
@@ -706,18 +606,17 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
             let limits = HttpLimits {
                 max_body: 1024,
                 ..HttpLimits::default()
             };
-            let req = read_request(&mut stream, &limits).unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/solve");
-            assert_eq!(req.body, b"{\"x\":1}");
-            stream
-                .write_all(&render_response(200, "{\"ok\":true}", &[], true))
-                .unwrap();
+            serve(&listener, &limits, 1, |_, req| {
+                assert_eq!(req.method, "POST");
+                assert_eq!(req.path, "/solve");
+                assert_eq!(req.body, b"{\"x\":1}");
+                render_response(200, "{\"ok\":true}", &[], true)
+            })
+            .unwrap();
         });
         let (status, body) = roundtrip(addr, "POST", "/solve?verbose=1", b"{\"x\":1}").unwrap();
         assert_eq!(status, 200);
@@ -730,12 +629,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
             let limits = HttpLimits {
                 max_body: 16,
                 ..HttpLimits::default()
             };
-            match read_request(&mut stream, &limits) {
+            match serve(&listener, &limits, 1, |_, req| panic!("parsed {req:?}")) {
                 Err(HttpError::BodyTooLarge { declared, limit }) => {
                     assert_eq!(declared, 1000);
                     assert_eq!(limit, 16);
@@ -743,22 +641,28 @@ mod tests {
                 other => panic!("expected BodyTooLarge, got {other:?}"),
             }
         });
+        // Only the head is sent: the 413 must not wait for the body.
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .write_all(b"POST /solve HTTP/1.1\r\ncontent-length: 1000\r\n\r\n")
             .unwrap();
+        let parts = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(parts.status, 413);
+        assert!(parts.close);
         server.join().unwrap();
     }
 
     #[test]
     fn in_memory_sources_parse_without_a_socket() {
-        let mut raw: &[u8] = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
-        let req = read_request(&mut raw, &HttpLimits::default()).unwrap();
+        let raw = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
+        let parsed = parse_request(raw, &HttpLimits::default()).unwrap().unwrap();
+        let req = parsed.request;
         assert_eq!(
             (req.method.as_str(), req.path.as_str()),
             ("GET", "/healthz")
         );
         assert!(req.body.is_empty());
+        assert_eq!(parsed.consumed, raw.len());
     }
 
     #[test]
@@ -767,16 +671,20 @@ mod tests {
             max_line_bytes: 64,
             ..HttpLimits::default()
         };
+        // A complete, terminated request line over the cap is rejected, not
+        // parsed.
         let mut raw: Vec<u8> = b"GET /".to_vec();
         raw.extend(std::iter::repeat_n(b'a', 10_000));
-        match read_request(&mut raw.as_slice(), &limits) {
+        raw.extend(b" HTTP/1.1\r\n\r\n");
+        match parse_request(&raw, &limits) {
             Err(HttpError::LineTooLong { limit }) => assert_eq!(limit, 64),
             other => panic!("expected LineTooLong, got {other:?}"),
         }
-        // A long *header* line trips the same cap.
+        // A complete long *header* line trips the same cap.
         let mut raw: Vec<u8> = b"GET / HTTP/1.1\r\nx-junk: ".to_vec();
         raw.extend(std::iter::repeat_n(b'b', 10_000));
-        match read_request(&mut raw.as_slice(), &limits) {
+        raw.extend(b"\r\n\r\n");
+        match parse_request(&raw, &limits) {
             Err(HttpError::LineTooLong { limit }) => assert_eq!(limit, 64),
             other => panic!("expected LineTooLong, got {other:?}"),
         }
@@ -788,57 +696,20 @@ mod tests {
             max_header_count: 4,
             ..HttpLimits::default()
         };
-        let mut raw: Vec<u8> = b"GET / HTTP/1.1\r\n".to_vec();
-        for i in 0..10 {
-            raw.extend(format!("x-h{i}: v\r\n").into_bytes());
-        }
-        raw.extend(b"\r\n");
-        match read_request(&mut raw.as_slice(), &limits) {
+        // Exactly the cap parses; one more header than the cap does not.
+        let head = |count: usize| {
+            let mut raw: Vec<u8> = b"GET / HTTP/1.1\r\n".to_vec();
+            for i in 0..count {
+                raw.extend(format!("x-h{i}: v\r\n").into_bytes());
+            }
+            raw.extend(b"\r\n");
+            raw
+        };
+        assert!(matches!(parse_request(&head(4), &limits), Ok(Some(_))));
+        match parse_request(&head(5), &limits) {
             Err(HttpError::TooManyHeaders { limit }) => assert_eq!(limit, 4),
             other => panic!("expected TooManyHeaders, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn expired_deadlines_fail_with_timeout_before_reading() {
-        let limits = HttpLimits {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..HttpLimits::default()
-        };
-        let mut raw: &[u8] = b"GET / HTTP/1.1\r\n\r\n";
-        match read_request(&mut raw, &limits) {
-            Err(HttpError::Timeout) => {}
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slowloris_clients_are_cut_off_by_the_wall_clock_deadline() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let limits = HttpLimits {
-                deadline: Some(Instant::now() + Duration::from_millis(50)),
-                ..HttpLimits::default()
-            };
-            let started = Instant::now();
-            let result = read_request(&mut stream, &limits);
-            assert!(
-                matches!(result, Err(HttpError::Timeout)),
-                "stalled client should time out, got {result:?}"
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "deadline cut the read off promptly"
-            );
-        });
-        // Send half a request line, then stall well past the deadline.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"POST /so").unwrap();
-        stream.flush().unwrap();
-        server.join().unwrap();
-        drop(stream);
     }
 
     #[test]
@@ -854,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_needs_more_bytes_then_agrees_with_the_blocking_reader() {
+    fn incremental_parser_needs_more_bytes_then_parses_the_whole_request() {
         let wire = b"POST /solve HTTP/1.1\r\nhost: x\r\ncontent-length: 7\r\n\r\n{\"x\":1}";
         let limits = HttpLimits::default();
         // Every strict prefix is "need more bytes"...
@@ -864,10 +735,16 @@ mod tests {
                 other => panic!("prefix of {cut} bytes should be incomplete, got {other:?}"),
             }
         }
-        // ...and the full buffer parses to exactly what the blocking reader sees.
+        // ...and the full buffer parses to exactly the request sent.
         let parsed = parse_request(wire, &limits).unwrap().unwrap();
-        let blocking = read_request(&mut &wire[..], &limits).unwrap();
-        assert_eq!(parsed.request, blocking);
+        assert_eq!(
+            parsed.request,
+            Request {
+                method: "POST".to_string(),
+                path: "/solve".to_string(),
+                body: b"{\"x\":1}".to_vec(),
+            }
+        );
         assert_eq!(parsed.consumed, wire.len());
         assert!(!parsed.close, "HTTP/1.1 defaults to keep-alive");
     }
@@ -915,12 +792,21 @@ mod tests {
             max_line_bytes: 32,
             max_header_count: 2,
             max_body: 8,
-            deadline: None,
         };
         // A request line that can never fit errors before it completes.
         let long: Vec<u8> = b"GET /".iter().copied().chain([b'a'; 64]).collect();
         assert!(matches!(
             parse_request(&long, &limits),
+            Err(HttpError::LineTooLong { limit: 32 })
+        ));
+        // So does a header line, once its unterminated bytes pass the cap.
+        let long_header: Vec<u8> = b"GET / HTTP/1.1\r\nx-junk: "
+            .iter()
+            .copied()
+            .chain([b'b'; 64])
+            .collect();
+        assert!(matches!(
+            parse_request(&long_header, &limits),
             Err(HttpError::LineTooLong { limit: 32 })
         ));
         // Too many headers errors even though the blank line never arrived.
@@ -954,22 +840,18 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
+            let limits = HttpLimits::default();
             // First connection: serve two requests, then close (stale pool).
-            let (mut stream, _) = listener.accept().unwrap();
-            for _ in 0..2 {
-                let req = read_request(&mut stream, &HttpLimits::default()).unwrap();
+            serve(&listener, &limits, 2, |_, req| {
                 assert_eq!(req.method, "GET");
-                stream
-                    .write_all(&render_response(200, "{\"n\":1}", &[], false))
-                    .unwrap();
-            }
-            drop(stream);
+                render_response(200, "{\"n\":1}", &[], false)
+            })
+            .unwrap();
             // Second connection: the client's retry after the stale reuse.
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_request(&mut stream, &HttpLimits::default()).unwrap();
-            stream
-                .write_all(&render_response(200, "{\"n\":2}", &[], false))
-                .unwrap();
+            serve(&listener, &limits, 1, |_, _| {
+                render_response(200, "{\"n\":2}", &[], false)
+            })
+            .unwrap();
         });
         let mut client = KeepAliveClient::new(addr);
         let (status, _) = client.request("GET", "/a", b"").unwrap();
@@ -992,31 +874,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            // Pipelined requests share read segments, so the server side
-            // must parse incrementally from one buffer — `read_request`'s
-            // per-call BufReader would swallow the trailing requests.
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 4096];
-            let mut served = 0;
-            while served < 3 {
-                match parse_request(&buf, &HttpLimits::default()).unwrap() {
-                    Some(parsed) => {
-                        let body =
-                            format!("{{\"path\":\"{}\",\"i\":{served}}}", parsed.request.path);
-                        stream
-                            .write_all(&render_response(200, &body, &[], false))
-                            .unwrap();
-                        buf.drain(..parsed.consumed);
-                        served += 1;
-                    }
-                    None => {
-                        let n = stream.read(&mut chunk).unwrap();
-                        assert!(n > 0, "client closed before sending all requests");
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
-            }
+            serve(&listener, &HttpLimits::default(), 3, |i, req| {
+                let body = format!("{{\"path\":\"{}\",\"i\":{i}}}", req.path);
+                render_response(200, &body, &[], false)
+            })
+            .unwrap();
         });
         let mut client = KeepAliveClient::new(addr);
         let responses = client
@@ -1051,10 +913,7 @@ mod tests {
             .http_status(),
             413
         );
-        assert_eq!(HttpError::Timeout.http_status(), 408);
         assert_eq!(HttpError::LineTooLong { limit: 1 }.http_status(), 431);
         assert_eq!(HttpError::TooManyHeaders { limit: 1 }.http_status(), 431);
-        let timeout: HttpError = io::Error::from(io::ErrorKind::TimedOut).into();
-        assert!(matches!(timeout, HttpError::Timeout));
     }
 }

@@ -252,14 +252,25 @@ fn queue_answer(result: Result<crate::api::SolveResponse, Reject>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::roundtrip;
+    use crate::http::{read_response, render_request, roundtrip, ResponseParts};
     use mqo_chimera::graph::ChimeraGraph;
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
 
-    fn small_server() -> Server {
+    fn small_config() -> ServerConfig {
         let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
         engine.device.num_reads = 20;
         engine.device.num_gauges = 2;
-        Server::start(ServerConfig::new(engine)).expect("bind loopback")
+        ServerConfig::new(engine)
+    }
+
+    fn small_server() -> Server {
+        Server::start(small_config()).expect("bind loopback")
+    }
+
+    /// Reads one response off a raw test connection.
+    fn response(stream: &TcpStream) -> ResponseParts {
+        read_response(&mut BufReader::new(stream)).unwrap()
     }
 
     const TINY: &[u8] =
@@ -395,36 +406,54 @@ mod tests {
 
     #[test]
     fn slow_clients_get_a_typed_408_within_the_deadline() {
-        use std::io::{BufRead, BufReader, Write};
-        let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
-        engine.device.num_reads = 20;
-        engine.device.num_gauges = 2;
-        let mut config = ServerConfig::new(engine);
+        let mut config = small_config();
         config.front.request_deadline_ms = 100;
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
 
         // Half a request line, then stall: the server must answer 408, not
         // hold the connection open forever.
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"POST /solve HT").unwrap();
         stream.flush().unwrap();
-        let mut reader = BufReader::new(&stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).unwrap();
-        assert!(status_line.starts_with("HTTP/1.1 408"), "{status_line}");
+        assert_eq!(response(&stream).status, 408);
         assert_eq!(server.metrics().snapshot().rejected_request_timeout, 1);
-        drop(reader);
         drop(stream);
         server.shutdown();
     }
 
     #[test]
+    fn oversized_declared_bodies_get_413_without_waiting_for_the_body() {
+        let mut config = small_config();
+        config.front.http.max_body = 64;
+        // Far beyond the read timeout below: a server that waited for the
+        // body would leave the client's read to time out, not answer 408.
+        config.front.request_deadline_ms = 60_000;
+        let server = Server::start(config).unwrap();
+        let addr = server.local_addr();
+
+        // Only the head goes out; the declared body never follows.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"POST /solve HTTP/1.1\r\ncontent-length: 100000\r\n\r\n")
+            .unwrap();
+        let parts = response(&stream);
+        assert_eq!(
+            parts.status,
+            413,
+            "{}",
+            String::from_utf8_lossy(&parts.body)
+        );
+        assert!(parts.close, "413 closes the connection");
+        server.shutdown();
+    }
+
+    #[test]
     fn oversized_request_lines_get_a_typed_431() {
-        let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
-        engine.device.num_reads = 20;
-        engine.device.num_gauges = 2;
-        let mut config = ServerConfig::new(engine);
+        let mut config = small_config();
         config.front.http.max_line_bytes = 128;
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
@@ -439,11 +468,7 @@ mod tests {
 
     #[test]
     fn queue_full_answers_429_with_retry_after_like_the_shed_path() {
-        use std::io::{BufRead, BufReader, Write};
-        let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
-        engine.device.num_reads = 20;
-        engine.device.num_gauges = 2;
-        let mut config = ServerConfig::new(engine);
+        let mut config = small_config();
         config.queue = crate::queue::QueueConfig {
             depth: 1,
             workers: 1,
@@ -456,34 +481,10 @@ mod tests {
         // the depth-1 queue; the one after that must be rejected 429.
         let slow: &[u8] = br#"{"problem": {"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}, "seed": 7, "reads": 4000, "gauges": 1}"#;
         let send = |body: &[u8]| {
-            let mut s = std::net::TcpStream::connect(addr).unwrap();
-            let head = format!(
-                "POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                body.len()
-            );
-            s.write_all(head.as_bytes()).unwrap();
-            s.write_all(body).unwrap();
-            s.flush().unwrap();
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(&render_request("POST", "/solve", "t", body, true))
+                .unwrap();
             s
-        };
-        let read_response = |stream: &std::net::TcpStream| {
-            let mut reader = BufReader::new(stream);
-            let mut status_line = String::new();
-            reader.read_line(&mut status_line).unwrap();
-            let mut saw_retry_after = false;
-            loop {
-                let mut header = String::new();
-                if reader.read_line(&mut header).unwrap() == 0 {
-                    break;
-                }
-                if header.trim_end().is_empty() {
-                    break;
-                }
-                if header.to_ascii_lowercase().starts_with("retry-after:") {
-                    saw_retry_after = true;
-                }
-            }
-            (status_line, saw_retry_after)
         };
         let wait_until = |ready: &dyn Fn() -> bool, what: &str| {
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -504,25 +505,24 @@ mod tests {
             "second request queues",
         );
         let c = send(TINY);
-        let (status, retry_after) = read_response(&c);
-        assert!(status.starts_with("HTTP/1.1 429"), "{status}");
-        assert!(retry_after, "429 advertises Retry-After like the 503 shed");
+        let rejected = response(&c);
+        assert_eq!(rejected.status, 429);
+        assert_eq!(
+            rejected.retry_after,
+            Some(1),
+            "429 advertises Retry-After like the 503 shed"
+        );
         assert_eq!(server.metrics().snapshot().rejected_queue_full, 1);
         // The occupying requests still answer normally.
         for held in [a, b] {
-            let (status, _) = read_response(&held);
-            assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+            assert_eq!(response(&held).status, 200);
         }
         server.shutdown();
     }
 
     #[test]
     fn connections_beyond_the_cap_are_shed_with_retry_after() {
-        use std::io::{BufRead, BufReader, Write};
-        let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
-        engine.device.num_reads = 20;
-        engine.device.num_gauges = 2;
-        let mut config = ServerConfig::new(engine);
+        let mut config = small_config();
         config.front.max_connections = 1;
         config.front.request_deadline_ms = 2_000;
         let server = Server::start(config).unwrap();
@@ -530,7 +530,7 @@ mod tests {
 
         // Occupy the single slot with a connection that never finishes its
         // request, then connect again: the second must be shed.
-        let mut holder = std::net::TcpStream::connect(addr).unwrap();
+        let mut holder = TcpStream::connect(addr).unwrap();
         holder.write_all(b"POST /solve HT").unwrap();
         holder.flush().unwrap();
         // Give the accept loop a beat to admit the holder.
@@ -543,27 +543,15 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
 
-        let shed = std::net::TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(&shed);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).unwrap();
-        assert!(status_line.starts_with("HTTP/1.1 503"), "{status_line}");
-        let mut saw_retry_after = false;
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header).unwrap() == 0 {
-                break;
-            }
-            if header.trim_end().is_empty() {
-                break;
-            }
-            if header.to_ascii_lowercase().starts_with("retry-after:") {
-                saw_retry_after = true;
-            }
-        }
-        assert!(saw_retry_after, "shed response advertises Retry-After");
+        let shed = TcpStream::connect(addr).unwrap();
+        let parts = response(&shed);
+        assert_eq!(parts.status, 503);
+        assert_eq!(
+            parts.retry_after,
+            Some(1),
+            "shed response advertises Retry-After"
+        );
         assert_eq!(server.metrics().snapshot().connections_shed, 1);
-        drop(reader);
         drop(shed);
         drop(holder);
         server.shutdown();

@@ -28,10 +28,9 @@
 //! state machine is unit-testable without spawning a single process.
 
 use crate::chaos::CellKillSchedule;
-use crate::http::{read_response, render_request};
+use crate::http::KeepAliveClient;
 use crate::metrics::{lock_recover, Metrics};
-use std::io::Write;
-use std::net::TcpStream;
+use std::net::ToSocketAddrs;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -495,25 +494,16 @@ fn spawn_cell(cell: &mut CellProcess) {
 /// One deadline-bounded HTTP exchange against a cell; `true` on any HTTP
 /// answer (the cell is alive), `false` on connect/read failure or timeout.
 fn probe(addr: &str, method: &str, path: &str, timeout: Duration) -> bool {
-    let Ok(mut addrs) = std::net::ToSocketAddrs::to_socket_addrs(&addr) else {
+    let Some(sock) = addr
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut addrs| addrs.next())
+    else {
         return false;
     };
-    let Some(sock) = addrs.next() else {
-        return false;
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sock, timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    if stream
-        .write_all(&render_request(method, path, addr, b"", true))
-        .is_err()
-    {
-        return false;
-    }
-    let mut reader = std::io::BufReader::new(stream);
-    read_response(&mut reader).is_ok()
+    KeepAliveClient::with_timeout(sock, Some(timeout))
+        .request(method, path, b"")
+        .is_ok()
 }
 
 /// The monitor: detects exits, probes health, executes the kill schedule,

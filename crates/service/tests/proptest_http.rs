@@ -1,24 +1,21 @@
-//! Property-based fuzzing of the HTTP request reader (ISSUE-5, satellite c)
-//! and of the incremental parser behind the nonblocking event loop
-//! (ISSUE-9, satellite c).
+//! Property-based fuzzing of the incremental request parser behind the
+//! nonblocking event loop.
 //!
-//! `http::read_request` is the service's unauthenticated network-facing
-//! parsing surface: whatever bytes a client throws at the socket flow
-//! through it first. These properties feed it arbitrary byte streams —
-//! pure noise, truncated/corrupted valid requests, and adversarial
-//! header shapes — through the in-memory [`RequestSource`] impl and
-//! assert the total-function contract: the reader never panics and every
-//! outcome is either a parsed [`Request`] or a typed [`HttpError`] whose
-//! `http_status()` is an expected client-error code.
+//! `http::parse_request` is the service's only request parser and its
+//! unauthenticated network-facing surface: whatever bytes a client throws
+//! at the socket flow through it first. These properties feed it arbitrary
+//! byte buffers — pure noise, truncated/corrupted valid requests, and
+//! adversarial header shapes — and assert the total-function contract: it
+//! never panics, and every outcome is a parsed request, "need more bytes",
+//! or a typed [`HttpError`] whose `http_status()` is a client-error code.
 //!
-//! `http::parse_request` is the same grammar restated over a buffer
-//! prefix for the event loop: it must agree with the blocking reader on
-//! every complete input, stay at `Ok(None)` on every proper prefix no
-//! matter how reads are split (the slow-loris path), walk pipelined
-//! requests in order, and turn mid-pipeline garbage into the same typed
-//! errors.
+//! Against an oracle, a generated complete request parses to exactly its
+//! method, path, body and length. Every proper prefix stays at `Ok(None)`
+//! no matter how reads are split (the slow-loris path), `Ok(None)` never
+//! holds past the event loop's per-connection read cap, pipelined requests
+//! walk in order, and mid-pipeline garbage becomes a typed error.
 
-use mqo_service::http::{parse_request, read_request, HttpError, HttpLimits};
+use mqo_service::http::{parse_request, HttpError, HttpLimits};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -30,44 +27,41 @@ fn small_limits() -> HttpLimits {
         max_body: 256,
         max_line_bytes: 128,
         max_header_count: 8,
-        deadline: None,
     }
 }
 
-/// Runs the reader over an in-memory byte stream, translating a panic —
-/// which must never happen — into a test failure, and checking that any
-/// error carries a legal response status.
+/// The event loop's per-connection read cap for `limits`: it stops reading
+/// once a connection's buffer holds this many bytes.
+fn read_cap(limits: &HttpLimits) -> usize {
+    limits.max_body + limits.max_line_bytes * (limits.max_header_count + 2)
+}
+
+/// Runs the parser over `bytes`, translating a panic — which must never
+/// happen — into a test failure, and checking that any error carries a
+/// legal response status.
 fn parse_never_panics(bytes: &[u8], limits: &HttpLimits) -> Result<(), TestCaseError> {
-    let limits = *limits;
-    let owned = bytes.to_vec();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut source: &[u8] = &owned;
-        read_request(&mut source, &limits)
-    }));
-    let result = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            return Err(TestCaseError::fail(format!(
-                "read_request panicked on {} bytes: {:?}",
-                bytes.len(),
-                &bytes[..bytes.len().min(64)]
-            )))
-        }
+    let outcome = catch_unwind(AssertUnwindSafe(|| parse_request(bytes, limits)));
+    let Ok(result) = outcome else {
+        return Err(TestCaseError::fail(format!(
+            "parse_request panicked on {} bytes: {:?}",
+            bytes.len(),
+            &bytes[..bytes.len().min(64)]
+        )));
     };
     match result {
-        Ok(req) => {
+        Ok(Some(parsed)) => {
             // A parse that succeeds must respect the configured caps.
-            prop_assert!(req.body.len() <= limits.max_body);
-            prop_assert!(!req.method.is_empty());
+            prop_assert!(parsed.request.body.len() <= limits.max_body);
+            prop_assert!(!parsed.request.method.is_empty());
+            prop_assert!(parsed.consumed <= bytes.len());
         }
+        Ok(None) => {}
         Err(e) => {
             let status = e.http_status();
             prop_assert!(
-                matches!(status, 400 | 408 | 413 | 431),
+                matches!(status, 400 | 413 | 431),
                 "unexpected status {status} for {e}"
             );
-            // In-memory sources cannot time out: the deadline is None.
-            prop_assert!(!matches!(e, HttpError::Timeout));
         }
     }
     Ok(())
@@ -83,6 +77,30 @@ fn valid_request(body_len: usize) -> Vec<u8> {
     .into_bytes();
     raw.extend_from_slice(&body);
     raw
+}
+
+/// `prefix` padded with `a`s to a `\r\n`-terminated line of `len` bytes.
+fn padded_line(prefix: &str, len: usize) -> Vec<u8> {
+    let mut line = prefix.as_bytes().to_vec();
+    line.resize(len.max(prefix.len() + 2) - 2, b'a');
+    line.extend_from_slice(b"\r\n");
+    line
+}
+
+/// A `content-length: {declared}` header line padded with spaces before
+/// the value to exactly `len` bytes.
+fn content_length_line(declared: usize, len: usize) -> Vec<u8> {
+    let name = "content-length:";
+    let width = len - name.len() - 2;
+    format!("{name}{declared:>width$}\r\n").into_bytes()
+}
+
+/// Maps generated indices onto `alphabet`.
+fn spell(alphabet: &[u8], picks: &[usize]) -> String {
+    picks
+        .iter()
+        .map(|&i| char::from(alphabet[i % alphabet.len()]))
+        .collect()
 }
 
 proptest! {
@@ -140,49 +158,79 @@ proptest! {
         parse_never_panics(&raw, &small_limits())?;
     }
 
-    /// Differential property: the incremental parser and the blocking
-    /// reader are the same grammar. On any corrupted/truncated valid
-    /// request, a complete parse agrees field-for-field, a typed error
-    /// agrees on the response status, and an incomplete verdict
-    /// (`Ok(None)`) coincides with the blocking reader failing on EOF.
+    /// Oracle: a generated complete request — any method casing, a path
+    /// with or without a query string, filler headers, any body within the
+    /// cap — parses to exactly its upper-cased method, its query-free path
+    /// and its body, consuming exactly its own bytes and none of the bytes
+    /// pipelined behind it.
     #[test]
-    fn incremental_parser_agrees_with_blocking_reader(
-        body_len in 0usize..64,
-        cut in 0usize..256,
-        flip_at in 0usize..256,
-        flip_to in 0u8..=255,
+    fn complete_requests_parse_to_exactly_their_fields(
+        method in vec(0usize..52, 1..8),
+        path in vec(0usize..40, 0..40),
+        query in vec(0usize..40, 0..20),
+        with_query in proptest::bool::ANY,
+        headers in vec(vec(0usize..64, 0..60), 0..8),
+        body in vec(0u8..=255, 0..=256),
+        trailing in vec(0u8..=255, 0..64),
     ) {
-        let mut raw = valid_request(body_len);
-        if flip_at < raw.len() {
-            raw[flip_at] = flip_to;
-        }
-        raw.truncate(cut.min(raw.len()));
         let limits = small_limits();
-        let incremental = parse_request(&raw, &limits);
-        let mut source: &[u8] = &raw;
-        let blocking = read_request(&mut source, &limits);
-        match incremental {
-            Ok(Some(parsed)) => match blocking {
-                Ok(req) => {
-                    prop_assert_eq!(&parsed.request.method, &req.method);
-                    prop_assert_eq!(&parsed.request.path, &req.path);
-                    prop_assert_eq!(&parsed.request.body, &req.body);
-                    prop_assert!(parsed.consumed <= raw.len());
-                }
-                Err(e) => return Err(TestCaseError::fail(format!(
-                    "incremental parsed a request the blocking reader rejects: {e}"
-                ))),
-            },
-            Ok(None) => prop_assert!(
-                blocking.is_err(),
-                "incremental says incomplete but the blocking reader parsed it"
-            ),
-            Err(e) => match blocking {
-                Err(b) => prop_assert_eq!(e.http_status(), b.http_status()),
-                Ok(_) => return Err(TestCaseError::fail(format!(
-                    "incremental rejects ({e}) a request the blocking reader accepts"
-                ))),
-            },
+        let method = spell(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", &method);
+        let path = format!("/{}", spell(b"abcdefghijklmnopqrstuvwxyz0123456789/._-", &path));
+        let target = if with_query {
+            format!("{path}?{}", spell(b"abcdefghijklmnopqrstuvwxyz0123456789=&?/", &query))
+        } else {
+            path.clone()
+        };
+        let mut raw = format!("{method} {target} HTTP/1.1\r\n").into_bytes();
+        for (i, value) in headers.iter().take(limits.max_header_count - 1).enumerate() {
+            let value = spell(b"abcdefghijklmnopqrstuvwxyz0123456789 ,;=/:-", value);
+            raw.extend_from_slice(format!("x-h{i}: {value}\r\n").as_bytes());
+        }
+        raw.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
+        raw.extend_from_slice(&body);
+        let request_len = raw.len();
+        raw.extend_from_slice(&trailing);
+        match parse_request(&raw, &limits) {
+            Ok(Some(parsed)) => {
+                prop_assert_eq!(&parsed.request.method, &method.to_ascii_uppercase());
+                prop_assert_eq!(&parsed.request.path, &path);
+                prop_assert_eq!(&parsed.request.body, &body);
+                prop_assert_eq!(parsed.consumed, request_len);
+                prop_assert!(!parsed.close, "HTTP/1.1 defaults to keep-alive");
+            }
+            other => return Err(TestCaseError::fail(format!(
+                "complete request gave {other:?}"
+            ))),
+        }
+    }
+
+    /// The parser never waits on a buffer the event loop would stop
+    /// reading into: `Ok(None)` only below `read_cap`. Every line here —
+    /// the request line, each header and the padded `content-length` —
+    /// sits at or just under the line cap, the header count runs past its
+    /// cap, and the declared body runs to `max_body`, so truncations reach
+    /// the largest prefixes the parser can legitimately be waiting on.
+    #[test]
+    fn incomplete_verdicts_stay_below_the_read_cap(
+        line_lens in vec(120usize..=128, 1..12),
+        declared in 0usize..=256,
+        cut_back in 0usize..64,
+    ) {
+        let limits = small_limits();
+        let mut raw = padded_line("GET /", line_lens[0]);
+        for &len in &line_lens[1..] {
+            raw.extend(padded_line("x-h: ", len));
+        }
+        raw.extend(content_length_line(declared, limits.max_line_bytes));
+        raw.extend_from_slice(b"\r\n");
+        raw.extend(std::iter::repeat_n(b'b', declared));
+        for cut in raw.len().saturating_sub(cut_back)..=raw.len() {
+            if let Ok(None) = parse_request(&raw[..cut], &limits) {
+                prop_assert!(
+                    cut < read_cap(&limits),
+                    "waiting on {cut} bytes, read cap {}", read_cap(&limits)
+                );
+            }
         }
     }
 
@@ -286,7 +334,7 @@ proptest! {
             Err(e) => {
                 let status = e.http_status();
                 prop_assert!(
-                    matches!(status, 400 | 408 | 413 | 431),
+                    matches!(status, 400 | 413 | 431),
                     "unexpected status {status} for {e}"
                 );
             }
@@ -296,8 +344,8 @@ proptest! {
         }
     }
 
-    /// Oversized declared bodies are rejected with the typed 413, never by
-    /// allocating first: the reader must refuse before reading the body.
+    /// Oversized declared bodies are rejected with the typed 413 from the
+    /// head alone, never by waiting for (or allocating) the body first.
     #[test]
     fn huge_content_length_is_typed_not_allocated(extra in 1usize..1_000_000) {
         let limits = small_limits();
@@ -305,8 +353,7 @@ proptest! {
         let raw = format!(
             "POST /solve HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n"
         );
-        let mut source: &[u8] = raw.as_bytes();
-        match read_request(&mut source, &limits) {
+        match parse_request(raw.as_bytes(), &limits) {
             Err(HttpError::BodyTooLarge { declared: d, limit }) => {
                 prop_assert_eq!(d, declared);
                 prop_assert_eq!(limit, limits.max_body);
@@ -316,4 +363,27 @@ proptest! {
             ))),
         }
     }
+}
+
+/// The read-cap bound is not vacuous: with the request line and every
+/// header at the line cap and the largest body, the parser is still
+/// waiting one byte short of the request, which misses the cap only by
+/// the blank line's unused `max_line_bytes - 2`.
+#[test]
+fn the_largest_request_fits_under_the_read_cap() {
+    let limits = small_limits();
+    let cap = limits.max_line_bytes;
+    let mut full = padded_line("GET /", cap);
+    for _ in 0..limits.max_header_count - 1 {
+        full.extend(padded_line("x-h: ", cap));
+    }
+    full.extend(content_length_line(limits.max_body, cap));
+    full.extend_from_slice(b"\r\n");
+    full.extend(std::iter::repeat_n(b'b', limits.max_body));
+    assert_eq!(full.len(), read_cap(&limits) - (cap - 2));
+    assert!(matches!(parse_request(&full, &limits), Ok(Some(_))));
+    assert!(matches!(
+        parse_request(&full[..full.len() - 1], &limits),
+        Ok(None)
+    ));
 }
