@@ -12,9 +12,8 @@
 //! Shards `POST /solve` requests across the cells by the instance's QUBO
 //! structure hash so each cell's embedding cache serves a consistent slice
 //! of the workload; unreachable cells are skipped via per-cell circuit
-//! breakers, failed forwards replay transparently on healthy cells inside
-//! the client's deadline budget, and recovered cells get their caches
-//! warmed from recent exemplar requests.
+//! breakers, and failed forwards replay transparently on healthy cells
+//! inside the client's deadline budget.
 //!
 //! With `--supervise`, the router *owns* its cells: the command template
 //! (whitespace-split; `{addr}` substitutes the cell address) is spawned
@@ -48,8 +47,7 @@ fn parse_config() -> Result<MqoRouterConfig, String> {
     config.addr = "127.0.0.1:7600".to_string();
     // Supervision settings are collected first and attached once the flags
     // are read (flag order must not matter).
-    let mut supervise_template: Option<Vec<String>> = None;
-    let mut sup = SupervisorConfig::new(Vec::new(), 0);
+    let mut sup = SupervisorConfig::new(Vec::new());
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -62,9 +60,7 @@ fn parse_config() -> Result<MqoRouterConfig, String> {
                     .filter(|s| !s.is_empty())
                     .collect()
             }
-            "--supervise" => {
-                supervise_template = Some(split_command(&value("--supervise")?, "--supervise")?)
-            }
+            "--supervise" => sup.command = split_command(&value("--supervise")?, "--supervise")?,
             "--breaker-threshold" => {
                 config.breaker.failure_threshold =
                     parse(&value("--breaker-threshold")?, "--breaker-threshold")?
@@ -103,8 +99,7 @@ fn parse_config() -> Result<MqoRouterConfig, String> {
     if config.cells.is_empty() {
         return Err("--cells is required (comma-separated mqo_serve addresses)".to_string());
     }
-    if let Some(template) = supervise_template {
-        sup.commands = vec![template; config.cells.len()];
+    if !sup.command.is_empty() {
         config.supervisor = Some(sup);
     }
     Ok(config)

@@ -132,10 +132,17 @@ impl Response {
         self
     }
 
-    /// A typed rejection body with the rejection's status.
+    /// A typed rejection body with the rejection's status. A full queue
+    /// is transient back-pressure, so its 429 carries `Retry-After: 1`,
+    /// like the accept-time connection shed.
     #[must_use]
     pub fn reject(reject: &Reject) -> Response {
-        Response::json(reject.http_status(), reject.body_json())
+        let response = Response::json(reject.http_status(), reject.body_json());
+        if matches!(reject, Reject::QueueFull { .. }) {
+            response.with_header("retry-after", "1")
+        } else {
+            response
+        }
     }
 }
 

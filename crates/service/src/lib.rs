@@ -27,7 +27,9 @@
 //!   over the (possibly fault-degraded) Chimera capacity bound are routed to
 //!   the MILP or hill-climbing backends instead of the annealer.
 //! * [`server`] — hand-rolled HTTP/1.1 over `std::net` exposing
-//!   `POST /solve`, `GET /metrics`, `GET /healthz`, and `POST /shutdown`.
+//!   `POST /solve`, `GET /metrics`, `GET /healthz`, and `POST /shutdown`;
+//!   the one shell of both binaries, around a [`server::Answerer`] (the
+//!   solve engine in `mqo_serve`, the cell fleet in `mqo_router`).
 //! * [`breaker`] — per-backend circuit breakers; a repeatedly failing
 //!   backend is skipped in favour of the next candidate (DESIGN.md §9).
 //! * [`chaos`] — deterministic fault injection for the serving stack:
@@ -37,9 +39,8 @@
 //!   processes: respawn with exponential backoff, crash-loop quarantine,
 //!   deadline-bounded health probes (DESIGN.md §14).
 //! * [`shard`] — the structure-sharded `mqo_router` front with zero-loss
-//!   failover: bounded in-flight journals, deterministic replay on healthy
-//!   cells within the client's deadline budget, and a response cache for
-//!   idempotent repeats.
+//!   failover: deterministic replay on healthy cells within the client's
+//!   deadline budget, and a response cache for idempotent repeats.
 //!
 //! The `mqo_serve` binary wires the layers together; the `loadgen` bench bin
 //! (in `mqo-bench`) replays paper-workload request streams against it.
@@ -67,7 +68,7 @@ pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use queue::{QueueConfig, SolveQueue};
 pub use router::{route, RouteDecision, RouterConfig};
-pub use server::{Server, ServerConfig};
+pub use server::{Answerer, Server, ServerConfig};
 pub use shard::{next_deadline, structure_key, CellSnapshot, MqoRouter, MqoRouterConfig};
 pub use supervisor::{
     RespawnPolicy, RespawnVerdict, SupervisedCellSnapshot, Supervisor, SupervisorConfig,

@@ -1,15 +1,17 @@
 //! Bounded admission queue + batching worker pool.
 //!
 //! The front-end enqueues; a small worker pool drains the queue in batches
-//! (grouping structurally similar requests so embedding-cache hits cluster)
-//! and answers each job through its [`Responder`] callback. Overload is a typed
+//! (grouping structurally similar requests so embedding-cache hits cluster),
+//! hands each job to the server's [`Answerer`] (the solve engine in
+//! `mqo_serve`, the cell fleet in `mqo_router`) and answers it through its
+//! [`Responder`] callback. Overload is a typed
 //! [`Reject::QueueFull`] at admission time — the queue never grows without
 //! bound and never panics under pressure — and shutdown stops admissions
 //! while the workers drain everything already accepted.
 //!
 //! Robustness model (DESIGN.md §9):
 //!
-//! * every solve runs inside `catch_unwind`: a panicking request is answered
+//! * every answer runs inside `catch_unwind`: a panicking request is answered
 //!   with a typed `500 internal_error` and the worker keeps draining its
 //!   batch — one poisoned request cannot take its batchmates down;
 //! * outside that boundary a worker only dequeues, delivers answers and
@@ -21,11 +23,13 @@
 //!   independent jobs with no cross-field invariant, so a poisoned guard is
 //!   safe to adopt as-is.
 
-use crate::api::{Reject, SolveRequest, SolveResponse};
+use crate::api::{Reject, SolveRequest};
 use crate::chaos::panic_message;
-use crate::engine::SolveEngine;
+use crate::event_loop::Response;
 use crate::metrics::{lock_recover, wait_recover, Metrics};
+use crate::server::Answerer;
 use std::collections::VecDeque;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -54,7 +58,7 @@ impl Default for QueueConfig {
 }
 
 /// Boxed completion callback invoked with the job's final answer.
-type ResponseCallback = Box<dyn FnOnce(Result<SolveResponse, Reject>) + Send>;
+type ResponseCallback = Box<dyn FnOnce(Response) + Send>;
 
 /// Where a job's answer goes: a callback that posts the response back to
 /// the owning event-loop shard and wakes its `poll`.
@@ -65,14 +69,14 @@ impl Responder {
     /// thread, so `f` must be cheap and non-blocking (the event loop's
     /// completers only push onto a channel and write one wakeup byte).
     #[must_use]
-    pub fn callback(f: impl FnOnce(Result<SolveResponse, Reject>) + Send + 'static) -> Responder {
+    pub fn callback(f: impl FnOnce(Response) + Send + 'static) -> Responder {
         Responder(Some(Box::new(f)))
     }
 
     /// Delivers the answer.
-    pub fn respond(mut self, result: Result<SolveResponse, Reject>) {
+    pub fn respond(mut self, response: Response) {
         if let Some(f) = self.0.take() {
-            f(result);
+            f(response);
         }
     }
 }
@@ -83,7 +87,7 @@ impl Drop for Responder {
     /// is going away.
     fn drop(&mut self) {
         if let Some(f) = self.0.take() {
-            f(Err(Reject::ShuttingDown));
+            f(Response::reject(&Reject::ShuttingDown));
         }
     }
 }
@@ -107,7 +111,7 @@ pub struct SolveQueue {
     state: Mutex<QueueState>,
     wakeup: Condvar,
     config: QueueConfig,
-    engine: Arc<SolveEngine>,
+    work: Arc<dyn Answerer>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -122,7 +126,7 @@ impl std::fmt::Debug for SolveQueue {
 impl SolveQueue {
     /// Creates the queue without spawning workers (tests use this to
     /// exercise admission behaviour deterministically).
-    pub fn new(engine: Arc<SolveEngine>, config: QueueConfig) -> Arc<Self> {
+    pub fn new(work: Arc<dyn Answerer>, config: QueueConfig) -> Arc<Self> {
         Arc::new(SolveQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -130,43 +134,43 @@ impl SolveQueue {
             }),
             wakeup: Condvar::new(),
             config,
-            engine,
+            work,
             workers: Mutex::new(Vec::new()),
         })
     }
 
-    /// Creates the queue and spawns its worker pool.
-    pub fn start(engine: Arc<SolveEngine>, config: QueueConfig) -> Arc<Self> {
-        let queue = Self::new(engine, config);
-        queue.spawn_workers();
-        queue
+    /// Creates the queue and spawns its worker pool. If a worker thread
+    /// cannot be spawned, the ones already running are stopped and joined
+    /// before the error is returned.
+    pub fn start(work: Arc<dyn Answerer>, config: QueueConfig) -> io::Result<Arc<Self>> {
+        let queue = Self::new(work, config);
+        queue.spawn_workers().inspect_err(|_| queue.shutdown())?;
+        Ok(queue)
     }
 
     /// Spawns the worker pool (calling it twice doubles the pool; call
     /// once).
-    pub fn spawn_workers(self: &Arc<Self>) {
-        let mut workers =
-            lock_recover(&self.workers, &self.engine.metrics().lock_poison_recoveries);
+    pub fn spawn_workers(self: &Arc<Self>) -> io::Result<()> {
+        let mut workers = lock_recover(&self.workers, &self.work.metrics().lock_poison_recoveries);
         for _ in 0..self.config.workers.max(1) {
             let queue = Arc::clone(self);
             let handle = std::thread::Builder::new()
                 .name(format!("mqo-worker-{}", workers.len()))
-                .spawn(move || queue.worker_loop())
-                .expect("spawning a worker thread");
+                .spawn(move || queue.worker_loop())?;
             workers.push(handle);
         }
+        Ok(())
     }
 
     /// Admits a request whose answer is delivered through `responder`.
     /// Admission rejections (queue full, draining) hand the responder back
-    /// unanswered, so the caller decides how to answer — the HTTP
-    /// front-ends attach `Retry-After` to back-pressure rejections.
+    /// unanswered, so the caller decides how to answer.
     pub fn submit_with(
         &self,
         req: SolveRequest,
         responder: Responder,
     ) -> Result<(), (Responder, Reject)> {
-        let metrics = self.engine.metrics();
+        let metrics = self.work.metrics();
         let mut state = lock_recover(&self.state, &metrics.lock_poison_recoveries);
         if !state.accepting {
             Metrics::inc(&metrics.rejected_shutdown);
@@ -201,7 +205,7 @@ impl SolveQueue {
 
     /// Requests currently queued.
     pub fn depth(&self) -> usize {
-        lock_recover(&self.state, &self.engine.metrics().lock_poison_recoveries)
+        lock_recover(&self.state, &self.work.metrics().lock_poison_recoveries)
             .jobs
             .len()
     }
@@ -209,7 +213,7 @@ impl SolveQueue {
     /// Stops admissions, lets the workers drain every queued job, and joins
     /// them. Every admitted request receives an answer before this returns.
     pub fn shutdown(&self) {
-        let recoveries = &self.engine.metrics().lock_poison_recoveries;
+        let recoveries = &self.work.metrics().lock_poison_recoveries;
         {
             let mut state = lock_recover(&self.state, recoveries);
             state.accepting = false;
@@ -222,7 +226,7 @@ impl SolveQueue {
     }
 
     fn worker_loop(&self) {
-        let metrics = Arc::clone(self.engine.metrics());
+        let metrics = Arc::clone(self.work.metrics());
         loop {
             let mut batch = {
                 let mut state = lock_recover(&self.state, &metrics.lock_poison_recoveries);
@@ -251,36 +255,30 @@ impl SolveQueue {
                     if Instant::now() >= deadline {
                         Metrics::inc(&metrics.rejected_deadline);
                         job.responder
-                            .respond(Err(Reject::DeadlineExceeded { deadline_ms }));
+                            .respond(Response::reject(&Reject::DeadlineExceeded { deadline_ms }));
                         continue;
                     }
                 }
                 let wait_us = job.enqueued.elapsed().as_micros() as u64;
                 metrics.queue_wait.record(wait_us);
                 let started = Instant::now();
-                // The engine is a shared reference either way; the unwind
+                // The work is a shared reference either way; the unwind
                 // boundary only isolates the panic, it does not hand the
                 // closure anything another thread could observe half-updated
-                // (all engine state is itself poison-recovering).
-                let outcome = catch_unwind(AssertUnwindSafe(|| self.engine.solve(&job.req)));
+                // (all engine and fleet state is itself poison-recovering).
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    self.work.answer(&job.req, job.enqueued, wait_us)
+                }));
                 metrics
                     .solve_latency
                     .record(started.elapsed().as_micros() as u64);
-                match outcome {
-                    Ok(result) => {
-                        let result = result.map(|mut response| {
-                            response.queue_wait_us = wait_us;
-                            response
-                        });
-                        job.responder.respond(result);
-                    }
-                    Err(payload) => {
-                        Metrics::inc(&metrics.worker_panics_caught);
-                        Metrics::inc(&metrics.rejected_internal);
-                        let detail = panic_message(payload.as_ref());
-                        job.responder.respond(Err(Reject::InternalError { detail }));
-                    }
-                }
+                let response = outcome.unwrap_or_else(|payload| {
+                    Metrics::inc(&metrics.worker_panics_caught);
+                    Metrics::inc(&metrics.rejected_internal);
+                    let detail = panic_message(payload.as_ref());
+                    Response::reject(&Reject::InternalError { detail })
+                });
+                job.responder.respond(response);
             }
         }
     }
@@ -289,20 +287,25 @@ impl SolveQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Backend;
-    use crate::engine::EngineConfig;
+    use crate::api::{Backend, SolveResponse};
+    use crate::engine::{EngineConfig, SolveEngine};
     use mqo_chimera::graph::ChimeraGraph;
     use mqo_core::problem::MqoProblem;
     use std::sync::mpsc;
 
     type Answer = mpsc::Receiver<Result<SolveResponse, Reject>>;
 
-    /// Admits `req` with a callback responder that forwards the answer into
-    /// a channel the test waits on.
+    /// Admits `req` with a callback responder that decodes the answer and
+    /// forwards it into a channel the test waits on.
     fn submit(queue: &SolveQueue, req: SolveRequest) -> Result<Answer, Reject> {
         let (tx, rx) = mpsc::channel();
-        let responder = Responder::callback(move |result| {
-            let _ = tx.send(result);
+        let responder = Responder::callback(move |response: Response| {
+            let decoded = if response.status == 200 {
+                Ok(serde_json::from_str(&response.body).expect("solve response"))
+            } else {
+                Err(serde_json::from_str(&response.body).expect("typed rejection"))
+            };
+            let _ = tx.send(decoded);
         });
         queue
             .submit_with(req, responder)
@@ -348,12 +351,12 @@ mod tests {
             other => panic!("expected QueueFull, got {other:?}"),
         }
         assert_eq!(queue.depth(), 3);
-        let m = queue.engine.metrics().snapshot();
+        let m = queue.work.metrics().snapshot();
         assert_eq!(m.rejected_queue_full, 1);
         assert_eq!(m.queue_depth, 3);
 
         // Draining the backlog: every admitted request still gets answered.
-        queue.spawn_workers();
+        queue.spawn_workers().unwrap();
         queue.shutdown();
         for rx in pending {
             let response = rx.recv().expect("drained job answers").unwrap();
@@ -369,7 +372,8 @@ mod tests {
                 workers: 2,
                 ..QueueConfig::default()
             },
-        );
+        )
+        .unwrap();
         let rx =
             submit(&queue, SolveRequest::new(tiny_problem(), 1)).expect("admitted before shutdown");
         queue.shutdown();
@@ -379,7 +383,7 @@ mod tests {
             Err(Reject::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
-        let m = queue.engine.metrics().snapshot();
+        let m = queue.work.metrics().snapshot();
         assert_eq!(m.rejected_shutdown, 1);
         assert_eq!(m.solved_total, 1);
     }
@@ -391,13 +395,13 @@ mod tests {
         req.deadline_ms = Some(1);
         let rx = submit(&queue, req).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
-        queue.spawn_workers();
+        queue.spawn_workers().unwrap();
         queue.shutdown();
         match rx.recv().unwrap() {
             Err(Reject::DeadlineExceeded { deadline_ms }) => assert_eq!(deadline_ms, 1),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        assert_eq!(queue.engine.metrics().snapshot().rejected_deadline, 1);
+        assert_eq!(queue.work.metrics().snapshot().rejected_deadline, 1);
     }
 
     #[test]
@@ -417,12 +421,12 @@ mod tests {
                 submit(&queue, req).unwrap()
             })
             .collect();
-        queue.spawn_workers();
+        queue.spawn_workers().unwrap();
         queue.shutdown();
         for rx in receivers {
             assert_eq!(rx.recv().unwrap().unwrap().cost, 2.0);
         }
-        let m = queue.engine.metrics().snapshot();
+        let m = queue.work.metrics().snapshot();
         assert!(
             m.batches_dispatched >= 2,
             "8 jobs at batch size 4 need at least 2 batches, saw {}",
@@ -478,7 +482,7 @@ mod tests {
                 (i, submit(&queue, req).unwrap())
             })
             .collect();
-        queue.spawn_workers();
+        queue.spawn_workers().unwrap();
         queue.shutdown();
         let mut panicked = 0;
         for (seed, rx) in receivers {
@@ -501,7 +505,7 @@ mod tests {
         let expected: u64 = (0..16).filter(|&s| chaos.worker_panics(s)).count() as u64;
         assert!(expected > 0 && expected < 16, "0.5 rate splits 16 seeds");
         assert_eq!(panicked, expected);
-        let m = queue.engine.metrics().snapshot();
+        let m = queue.work.metrics().snapshot();
         assert_eq!(m.worker_panics_caught, expected);
         assert_eq!(m.rejected_internal, expected);
         assert_eq!(m.solved_total, 16 - expected);

@@ -1,13 +1,15 @@
-//! The HTTP front-end: binds a listener, runs the nonblocking event-loop
-//! tier ([`crate::event_loop`], DESIGN.md §13), and bridges parsed requests
-//! onto the admission queue.
+//! The HTTP front-end of both `mqo_serve` and `mqo_router`: binds a
+//! listener, runs the nonblocking event-loop tier ([`crate::event_loop`],
+//! DESIGN.md §13), and bridges parsed requests onto the admission queue,
+//! whose workers hand each one to the server's [`Answerer`].
 //!
 //! Endpoints:
 //!
 //! * `POST /solve` — body is a JSON [`crate::api::SolveRequest`]; answers a
 //!   [`crate::api::SolveResponse`] or a typed [`Reject`] with its status.
-//! * `GET /metrics` — JSON counters, latency histograms, cache statistics,
-//!   per-backend circuit-breaker state.
+//! * `GET /metrics` — JSON counters and latency histograms, plus the
+//!   answerer's panels (cache statistics and per-backend breakers on a
+//!   cell; per-cell health and the supervisor on the router).
 //! * `GET /healthz` — liveness probe.
 //! * `POST /shutdown` — graceful drain: stop admissions, answer everything
 //!   already queued, then exit [`Server::wait`].
@@ -33,7 +35,57 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The per-request work behind the shared HTTP shell. `mqo_serve` solves
+/// on its [`SolveEngine`]; `mqo_router` forwards to its cells
+/// ([`crate::shard`]). The endpoint table, admission queue, worker pool
+/// and drain are [`Server`]'s, the same for both.
+pub trait Answerer: Send + Sync + 'static {
+    /// Answers one admitted request on a worker thread. `admitted` is when
+    /// the queue took it; `queue_wait_us` is how long it waited for a
+    /// worker.
+    fn answer(&self, request: &SolveRequest, admitted: Instant, queue_wait_us: u64) -> Response;
+
+    /// The metrics handle the shell's counters go to.
+    fn metrics(&self) -> &Arc<Metrics>;
+
+    /// The `GET /metrics` payload.
+    fn metrics_json(&self) -> serde_json::Value;
+
+    /// The `GET /healthz` body.
+    fn health(&self) -> String;
+}
+
+impl Answerer for SolveEngine {
+    fn answer(&self, request: &SolveRequest, _admitted: Instant, queue_wait_us: u64) -> Response {
+        match self.solve(request) {
+            Ok(mut response) => {
+                response.queue_wait_us = queue_wait_us;
+                let body = serde_json::to_string(&response)
+                    .unwrap_or_else(|_| r#"{"error":"serialisation failure"}"#.to_string());
+                Response::json(200, body)
+            }
+            Err(reject) => Response::reject(&reject),
+        }
+    }
+
+    fn metrics(&self) -> &Arc<Metrics> {
+        SolveEngine::metrics(self)
+    }
+
+    fn metrics_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "service": self.metrics().snapshot(),
+            "cache": self.cache_stats(),
+            "breakers": self.breaker_panel(),
+        })
+    }
+
+    fn health(&self) -> String {
+        r#"{"status":"ok"}"#.to_string()
+    }
+}
 
 /// Full server configuration.
 #[derive(Debug, Clone)]
@@ -61,11 +113,11 @@ impl ServerConfig {
     }
 }
 
-/// A running solve server.
+/// A running server: `mqo_serve` around a [`SolveEngine`], or the
+/// `mqo_router` front around its fleet.
 pub struct Server {
     addr: SocketAddr,
     queue: Arc<SolveQueue>,
-    engine: Arc<SolveEngine>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     event_loop: Mutex<Option<EventLoop>>,
@@ -78,34 +130,45 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener, spawns the event-loop shards and the worker pool.
+    /// Builds the solve engine and serves it (see [`Server::serve`]).
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let engine = SolveEngine::new(config.engine, Arc::new(Metrics::default()));
+        Server::serve(&config.addr, Arc::new(engine), config.queue, config.front)
+    }
 
-        let metrics = Arc::new(Metrics::default());
-        let engine = Arc::new(SolveEngine::new(config.engine, Arc::clone(&metrics)));
-        let queue = SolveQueue::start(Arc::clone(&engine), config.queue);
+    /// Binds `addr`, spawns the worker pool that runs `work` and the
+    /// event-loop shards. A failed thread spawn is returned as an error,
+    /// after the worker pool is stopped.
+    pub fn serve(
+        addr: &str,
+        work: Arc<dyn Answerer>,
+        queue: QueueConfig,
+        front: LoopConfig,
+    ) -> io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let metrics = Arc::clone(work.metrics());
+        let queue = SolveQueue::start(Arc::clone(&work), queue)?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let handler = Arc::new(SolveHandler {
             queue: Arc::clone(&queue),
-            engine: Arc::clone(&engine),
+            work,
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
         });
         let event_loop = EventLoop::spawn(
             listener,
-            config.front,
+            front,
             handler,
             Arc::clone(&metrics),
             Arc::clone(&shutdown),
-        )?;
+        )
+        .inspect_err(|_| queue.shutdown())?;
 
         Ok(Server {
             addr,
             queue,
-            engine,
             metrics,
             shutdown,
             event_loop: Mutex::new(Some(event_loop)),
@@ -120,11 +183,6 @@ impl Server {
     /// The shared metrics handle.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
-    }
-
-    /// The engine (tests inspect cache statistics through it).
-    pub fn engine(&self) -> &Arc<SolveEngine> {
-        &self.engine
     }
 
     /// True once a shutdown has been requested (via [`Server::shutdown`] or
@@ -165,7 +223,7 @@ impl Server {
 /// the solve path answers later through the queue's callback responder.
 struct SolveHandler {
     queue: Arc<SolveQueue>,
-    engine: Arc<SolveEngine>,
+    work: Arc<dyn Answerer>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
 }
@@ -173,14 +231,9 @@ struct SolveHandler {
 impl Handler for SolveHandler {
     fn handle(&self, request: Request, completer: Completer) -> Action {
         match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => Action::Respond(Response::json(200, r#"{"status":"ok"}"#)),
+            ("GET", "/healthz") => Action::Respond(Response::json(200, self.work.health())),
             ("GET", "/metrics") => {
-                let payload = serde_json::json!({
-                    "service": self.metrics.snapshot(),
-                    "cache": self.engine.cache_stats(),
-                    "breakers": self.engine.breaker_panel(),
-                });
-                Action::Respond(Response::json(200, payload.to_string()))
+                Action::Respond(Response::json(200, self.work.metrics_json().to_string()))
             }
             ("POST", "/solve") => self.handle_solve(request, completer),
             ("POST", "/shutdown") => {
@@ -211,41 +264,11 @@ impl SolveHandler {
                 return Action::Respond(Response::reject(&reject));
             }
         };
-        let responder = Responder::callback(move |result| {
-            completer.complete(queue_answer(result));
-        });
-        match self.queue.submit_with(solve_request, responder) {
-            Ok(()) => Action::Pending,
-            Err((responder, reject)) => {
-                // Answer through the responder we got back: it carries the
-                // completer, and `queue_answer` attaches the Retry-After
-                // hint to back-pressure rejections.
-                responder.respond(Err(reject));
-                Action::Pending
-            }
+        let responder = Responder::callback(move |response| completer.complete(response));
+        if let Err((responder, reject)) = self.queue.submit_with(solve_request, responder) {
+            responder.respond(Response::reject(&reject));
         }
-    }
-}
-
-/// Renders a queue answer (worker result or typed rejection) as a response.
-/// Back-pressure rejections carry a `Retry-After` hint, exactly like the
-/// accept-time connection shed: a full queue is a transient condition the
-/// client should retry, not an error.
-fn queue_answer(result: Result<crate::api::SolveResponse, Reject>) -> Response {
-    match result {
-        Ok(response) => {
-            let body = serde_json::to_string(&response)
-                .unwrap_or_else(|_| r#"{"error":"serialisation failure"}"#.to_string());
-            Response::json(200, body)
-        }
-        Err(reject) => {
-            let response = Response::reject(&reject);
-            if matches!(reject, Reject::QueueFull { .. }) {
-                response.with_header("retry-after", "1")
-            } else {
-                response
-            }
-        }
+        Action::Pending
     }
 }
 

@@ -7,13 +7,15 @@
 //! embedding cache sees the full hit-rate benefit of its shard instead of
 //! every cell re-deriving every embedding.
 //!
-//! The router reuses the nonblocking event-loop front-end
-//! ([`crate::event_loop`]) for its own client side; forwarding happens on a
-//! small pool of forwarder threads over *pooled keep-alive upstream
-//! connections* ([`crate::http::KeepAliveClient`]), so neither accepting nor
-//! forwarding blocks the poll loop.
+//! The router is a [`Server`] like `mqo_serve`: the same endpoint table,
+//! bounded admission queue, worker pool and drain. Its [`Answerer`] is the
+//! fleet of cells: where a cell's workers solve, the router's [`FORWARDERS`]
+//! workers forward over *pooled keep-alive upstream connections*
+//! ([`crate::http::KeepAliveClient`]), so neither accepting nor forwarding
+//! blocks the poll loop. Admission is bounded by [`ROUTER_QUEUE`]: beyond
+//! 64 queued requests, across all shards, `/solve` answers a typed 429.
 //!
-//! Per-cell resilience (PR 9 + the PR 10 failover layer):
+//! Per-cell resilience (DESIGN.md §14):
 //!
 //! * every cell has its own [`CircuitBreaker`]; an unreachable cell is
 //!   skipped after `failure_threshold` consecutive failures and its traffic
@@ -26,10 +28,6 @@
 //!   produced. Replays stay inside the client's remaining deadline budget:
 //!   the router subtracts its own elapsed time and forwards a strictly
 //!   decreasing `deadline_ms` upstream ([`next_deadline`]);
-//! * every in-flight request sits in a **bounded per-shard journal**
-//!   ([`JOURNAL_DEPTH`]): admission beyond the per-shard bound
-//!   answers a typed 429 instead of queueing without limit, and the journal
-//!   draining to zero is the drain invariant the kill-chaos tests assert;
 //! * idempotent repeats (same structure, weights, seed, reads, gauges,
 //!   backend) can be answered from a small router-side **response cache**
 //!   without touching a cell — the cached bytes are the exact bytes of the
@@ -37,10 +35,6 @@
 //! * cells **quarantined** by the fleet supervisor
 //!   ([`crate::supervisor::Supervisor`]) are skipped like open breakers:
 //!   the fall-through walk *is* the shard-range remap;
-//! * when a cell recovers (its breaker closes after being open), the router
-//!   replays a bounded set of recent *exemplar* requests whose primary
-//!   shard is that cell — warming the respawned cell's embedding cache
-//!   before live traffic returns to it;
 //! * any HTTP answer from a cell — including typed rejections — counts as
 //!   cell transport health; only transport errors trip the breaker, but
 //!   5xx answers are treated as replayable (the last one is passed through
@@ -49,36 +43,37 @@
 //!   computed from the soonest breaker re-probe, not a constant.
 
 use crate::api::{Reject, SolveRequest};
-use crate::breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::cache::Lru;
 use crate::engine::EPSILON;
-use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{KeepAliveClient, Request};
+use crate::event_loop::{LoopConfig, Response};
+use crate::http::KeepAliveClient;
 use crate::metrics::{lock_recover, Metrics};
+use crate::queue::QueueConfig;
+use crate::server::{Answerer, Server};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::LogicalMapping;
-use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Forwarder threads (each owns pooled upstream connections).
+/// Forwarding workers (each checks out pooled upstream connections).
 pub const FORWARDERS: usize = 4;
 
-/// Recent requests retained per structure hash for cache warm-up on cell
-/// recovery.
-pub const WARM_EXEMPLARS: usize = 32;
+/// The router's admission queue: [`FORWARDERS`] workers, one request per
+/// claim (a worker never forwards a claimed batch serially), and at most
+/// 64 queued requests across all shards before `/solve` answers 429.
+pub const ROUTER_QUEUE: QueueConfig = QueueConfig {
+    depth: 64,
+    workers: FORWARDERS,
+    batch_size: 1,
+};
 
 /// Replay window for requests that carry no `deadline_ms` of their own,
 /// milliseconds. Requests with a client deadline use that instead.
 pub const FAILOVER_BUDGET_MS: u64 = 2_000;
-
-/// Outstanding requests allowed per shard (primary cell); admission beyond
-/// this answers a typed 429.
-pub const JOURNAL_DEPTH: usize = 64;
 
 /// Pause between failover passes over the fleet, milliseconds — gives a
 /// respawning cell or a cooling breaker a moment before the next pass.
@@ -163,7 +158,6 @@ struct Cell {
     breaker: CircuitBreaker,
     forwarded: AtomicU64,
     failures: AtomicU64,
-    warmups: AtomicU64,
 }
 
 /// Serialisable per-cell health reported under the router's `/metrics`.
@@ -177,93 +171,22 @@ pub struct CellSnapshot {
     pub forwarded: u64,
     /// Transport failures talking to this cell.
     pub failures: u64,
-    /// Warm-up requests replayed into this cell after recovery.
-    pub warmups: u64,
     /// Idle pooled keep-alive connections to this cell.
     pub pooled: usize,
     /// Whether the supervisor quarantined this cell (shard range remapped).
     #[serde(default)]
     pub quarantined: bool,
-    /// Requests currently journaled against this cell's shard.
-    #[serde(default)]
-    pub journal_outstanding: usize,
 }
 
-/// The bounded per-shard journal of in-flight forwards. An entry lives
-/// from event-loop admission to response completion (RAII: the guard pops
-/// it even if a forwarder panics), so `outstanding` is an honest gauge of
-/// requests the router has accepted but not yet answered — the drain
-/// invariant of the kill-chaos tests is every shard returning to zero.
-struct FailoverJournal {
-    /// Per-shard ticket → structure hash of the outstanding request.
-    shards: Vec<Mutex<HashMap<u64, u64>>>,
-    depth: usize,
-    next_ticket: AtomicU64,
-    lock_recoveries: AtomicU64,
-}
-
-impl FailoverJournal {
-    fn new(shards: usize, depth: usize) -> Self {
-        FailoverJournal {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            depth,
-            next_ticket: AtomicU64::new(0),
-            lock_recoveries: AtomicU64::new(0),
-        }
-    }
-
-    /// Admits one request against `shard`, or `None` when the shard is at
-    /// its journal bound (answer 429, don't queue without limit).
-    fn admit(self: &Arc<Self>, shard: usize, hash: u64) -> Option<JournalGuard> {
-        let mut entries = lock_recover(&self.shards[shard], &self.lock_recoveries);
-        if entries.len() >= self.depth {
-            return None;
-        }
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        entries.insert(ticket, hash);
-        Some(JournalGuard {
-            journal: Arc::clone(self),
-            shard,
-            ticket,
-        })
-    }
-
-    fn outstanding(&self, shard: usize) -> usize {
-        lock_recover(&self.shards[shard], &self.lock_recoveries).len()
-    }
-}
-
-/// RAII journal entry: dropping it (response completed, or the forward
-/// path unwound) removes the request from its shard's journal.
-struct JournalGuard {
-    journal: Arc<FailoverJournal>,
-    shard: usize,
-    ticket: u64,
-}
-
-impl Drop for JournalGuard {
-    fn drop(&mut self) {
-        lock_recover(
-            &self.journal.shards[self.shard],
-            &self.journal.lock_recoveries,
-        )
-        .remove(&self.ticket);
-    }
-}
-
-/// Shared forwarding state: the cells, the failover machinery, and the
-/// warm-up exemplar store.
+/// The router's [`Answerer`]: the cells, the failover machinery, the
+/// response cache and, when the router owns its cells, their supervisor.
 struct Fleet {
     cells: Vec<Cell>,
     io_timeout: Duration,
-    /// Most-recent canonical request body per structure hash, bounded FIFO;
-    /// replayed into a cell when its breaker closes after being open.
-    exemplars: Mutex<VecDeque<(u64, Vec<u8>)>>,
     failover_rounds: u32,
     /// Per-cell quarantine flags; shared with the supervisor when one is
     /// running, all-false otherwise.
     quarantined: Arc<Vec<AtomicBool>>,
-    journal: Arc<FailoverJournal>,
     /// Successful `/solve` answers keyed by the *canonical* request bytes
     /// (the request re-serialised without its `deadline_ms`, so the key
     /// covers structure, weights, seed, reads, gauges, and backend pin —
@@ -271,6 +194,7 @@ struct Fleet {
     /// solves are deterministic: a hit returns the exact bytes the fleet
     /// produced for the first occurrence.
     response_cache: Lru<Vec<u8>, String>,
+    supervisor: Option<Arc<Supervisor>>,
     metrics: Arc<Metrics>,
     lock_recoveries: AtomicU64,
 }
@@ -279,19 +203,6 @@ impl Fleet {
     /// Primary cell of a shard key, before breaker fall-through.
     fn primary(&self, hash: u64) -> usize {
         (hash % self.cells.len() as u64) as usize
-    }
-
-    /// Remembers `body` as the exemplar for `hash` (replacing any previous
-    /// one), evicting the oldest entry beyond the cap.
-    fn remember(&self, hash: u64, body: &[u8]) {
-        let mut exemplars = lock_recover(&self.exemplars, &self.lock_recoveries);
-        if let Some(pos) = exemplars.iter().position(|(h, _)| *h == hash) {
-            exemplars.remove(pos);
-        }
-        exemplars.push_back((hash, body.to_vec()));
-        while exemplars.len() > WARM_EXEMPLARS {
-            exemplars.pop_front();
-        }
     }
 
     /// `Retry-After` seconds for a request no cell could take: the soonest
@@ -308,12 +219,12 @@ impl Fleet {
 
     /// Forwards one `/solve` request to the shard's cell, transparently
     /// replaying on the next healthy cell after a transport failure or a
-    /// 5xx, within the request's deadline budget. Non-5xx HTTP answers are
-    /// passed through verbatim.
-    fn forward(&self, hash: u64, request: &SolveRequest, admitted: Instant) -> Response {
+    /// 5xx, within the request's deadline budget counted from `admitted`.
+    /// Non-5xx HTTP answers are passed through verbatim.
+    fn forward(&self, request: &SolveRequest, admitted: Instant) -> Response {
         // Canonical bytes: the request without its deadline. Response-cache
-        // key, warm-up exemplar, and the upstream body for deadline-less
-        // requests are all this serialisation.
+        // key and the upstream body for deadline-less requests are both
+        // this serialisation.
         let canonical = {
             let mut canon = request.clone();
             canon.deadline_ms = None;
@@ -335,6 +246,7 @@ impl Fleet {
         }
 
         let n = self.cells.len();
+        let primary = self.primary(structure_key(&request.problem, EPSILON));
         let budget = request.deadline_ms;
         // The replay window: the client's own deadline when it sent one,
         // the configured failover budget otherwise.
@@ -363,7 +275,7 @@ impl Fleet {
                 std::thread::sleep(Duration::from_millis(ROUND_BACKOFF_MS));
             }
             for step in 0..n {
-                let idx = (self.primary(hash) + step) % n;
+                let idx = (primary + step) % n;
                 let cell = &self.cells[idx];
                 if self.quarantined[idx].load(Ordering::SeqCst) {
                     note(format!("{}: quarantined", cell.display));
@@ -406,8 +318,6 @@ impl Fleet {
                     }
                     None => canonical.clone(),
                 };
-                let was_unhealthy = cell.breaker.state() != BreakerState::Closed
-                    || cell.breaker.snapshot().consecutive_failures > 0;
                 match self.try_cell(cell, &body) {
                     Ok((status, resp_body)) => {
                         cell.breaker.record_success();
@@ -424,10 +334,6 @@ impl Fleet {
                             continue;
                         }
                         Metrics::inc(&cell.forwarded);
-                        self.remember(hash, &canonical);
-                        if was_unhealthy {
-                            self.warm_cell(idx);
-                        }
                         if failed_attempts > 0 {
                             Metrics::inc(&self.metrics.failovers);
                         }
@@ -477,28 +383,6 @@ impl Fleet {
         result
     }
 
-    /// Replays the exemplars whose primary shard is `idx` into that cell,
-    /// warming its embedding cache after a respawn. Best-effort: replay
-    /// failures are ignored (live traffic will re-trip the breaker).
-    fn warm_cell(&self, idx: usize) {
-        let mine: Vec<Vec<u8>> = lock_recover(&self.exemplars, &self.lock_recoveries)
-            .iter()
-            .filter(|(hash, _)| self.primary(*hash) == idx)
-            .map(|(_, body)| body.clone())
-            .collect();
-        if mine.is_empty() {
-            return;
-        }
-        let cell = &self.cells[idx];
-        let mut client = KeepAliveClient::with_timeout(cell.addr, Some(self.io_timeout));
-        for body in mine {
-            if client.request("POST", "/solve", &body).is_err() {
-                return;
-            }
-            Metrics::inc(&cell.warmups);
-        }
-    }
-
     fn cell_snapshots(&self) -> Vec<CellSnapshot> {
         self.cells
             .iter()
@@ -508,133 +392,63 @@ impl Fleet {
                 breaker: cell.breaker.snapshot(),
                 forwarded: cell.forwarded.load(Ordering::Relaxed),
                 failures: cell.failures.load(Ordering::Relaxed),
-                warmups: cell.warmups.load(Ordering::Relaxed),
                 pooled: lock_recover(&cell.pool, &self.lock_recoveries).len(),
                 quarantined: self.quarantined[idx].load(Ordering::SeqCst),
-                journal_outstanding: self.journal.outstanding(idx),
             })
             .collect()
     }
 }
 
-/// A solve forward in flight from the event loop to a forwarder thread.
-/// Carries its journal guard: the entry pops when the job is dropped,
-/// however the forward ends.
-struct ForwardJob {
-    hash: u64,
-    request: SolveRequest,
-    admitted: Instant,
-    _journal: JournalGuard,
-    completer: Completer,
-}
+impl Answerer for Fleet {
+    fn answer(&self, request: &SolveRequest, admitted: Instant, _queue_wait_us: u64) -> Response {
+        self.forward(request, admitted)
+    }
 
-/// Routes client requests: introspection answers inline, `/solve` is
-/// dispatched to the forwarder pool.
-struct RouterHandler {
-    fleet: Arc<Fleet>,
-    forward_tx: mpsc::Sender<ForwardJob>,
-    metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
-    supervisor: Option<Arc<Supervisor>>,
-}
+    fn metrics(&self) -> &Arc<Metrics> {
+        &self.metrics
+    }
 
-impl Handler for RouterHandler {
-    fn handle(&self, request: Request, completer: Completer) -> Action {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => Action::Respond(Response::json(
-                200,
-                format!(r#"{{"status":"ok","cells":{}}}"#, self.fleet.cells.len()),
-            )),
-            ("GET", "/metrics") => {
-                let supervisor = self.supervisor.as_ref().map(|s| s.snapshots());
-                let payload = serde_json::json!({
-                    "service": self.metrics.snapshot(),
-                    "router": serde_json::json!({
-                        "cells": self.fleet.cell_snapshots(),
-                        "response_cache_len": self.fleet.response_cache.stats().len,
-                        "journal_depth": JOURNAL_DEPTH,
-                    }),
-                    "supervisor": supervisor,
-                });
-                Action::Respond(Response::json(200, payload.to_string()))
-            }
-            ("POST", "/solve") => {
-                Metrics::inc(&self.metrics.requests_total);
-                let solve_request: SolveRequest = match serde_json::from_slice(&request.body) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        Metrics::inc(&self.metrics.rejected_invalid);
-                        return Action::Respond(Response::reject(&Reject::InvalidRequest {
-                            detail: e.to_string(),
-                        }));
-                    }
-                };
-                let hash = structure_key(&solve_request.problem, EPSILON);
-                let shard = self.fleet.primary(hash);
-                let Some(guard) = self.fleet.journal.admit(shard, hash) else {
-                    Metrics::inc(&self.metrics.rejected_queue_full);
-                    return Action::Respond(
-                        Response::reject(&Reject::QueueFull {
-                            depth: JOURNAL_DEPTH,
-                        })
-                        .with_header("retry-after", "1"),
-                    );
-                };
-                match self.forward_tx.send(ForwardJob {
-                    hash,
-                    request: solve_request,
-                    admitted: Instant::now(),
-                    _journal: guard,
-                    completer,
-                }) {
-                    Ok(()) => Action::Pending,
-                    Err(mpsc::SendError(job)) => {
-                        // Forwarder pool gone: only happens mid-teardown.
-                        job.completer
-                            .complete(Response::reject(&Reject::ShuttingDown));
-                        Action::Pending
-                    }
-                }
-            }
-            ("POST", "/shutdown") => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                Action::Respond(Response::json(200, r#"{"status":"draining"}"#).closing())
-            }
-            ("GET", "/solve") | ("POST", "/healthz") | ("POST", "/metrics") => {
-                Action::Respond(Response::json(405, r#"{"error":"method not allowed"}"#))
-            }
-            _ => Action::Respond(Response::json(404, r#"{"error":"not found"}"#)),
-        }
+    fn metrics_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "service": self.metrics.snapshot(),
+            "router": serde_json::json!({
+                "cells": self.cell_snapshots(),
+                "response_cache_len": self.response_cache.stats().len,
+            }),
+            "supervisor": self.supervisor.as_ref().map(|s| s.snapshots()),
+        })
+    }
+
+    fn health(&self) -> String {
+        format!(r#"{{"status":"ok","cells":{}}}"#, self.cells.len())
     }
 }
 
 /// A running structure-sharded router (optionally supervising its cells).
 pub struct MqoRouter {
-    addr: SocketAddr,
+    server: Server,
     fleet: Arc<Fleet>,
-    metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
-    event_loop: Mutex<Option<EventLoop>>,
-    forwarders: Mutex<Vec<JoinHandle<()>>>,
-    supervisor: Option<Arc<Supervisor>>,
     supervisor_report: Mutex<Vec<String>>,
 }
 
 impl std::fmt::Debug for MqoRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MqoRouter")
-            .field("addr", &self.addr)
+            .field("addr", &self.server.local_addr())
             .field("cells", &self.fleet.cells.len())
-            .field("supervised", &self.supervisor.is_some())
+            .field("supervised", &self.fleet.supervisor.is_some())
             .finish()
     }
 }
 
 impl MqoRouter {
-    /// Binds the listener, optionally spawns and readies the supervised
-    /// fleet, resolves the cells, then spawns the event-loop shards and
-    /// the forwarder pool.
+    /// Optionally spawns and readies the supervised fleet, resolves the
+    /// cells, then serves them behind [`ROUTER_QUEUE`].
     pub fn start(config: MqoRouterConfig) -> io::Result<MqoRouter> {
+        MqoRouter::serve(config, ROUTER_QUEUE)
+    }
+
+    fn serve(config: MqoRouterConfig, queue: QueueConfig) -> io::Result<MqoRouter> {
         if config.cells.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -645,24 +459,26 @@ impl MqoRouter {
 
         // Supervision first: cells must exist (or be quarantined) before
         // the router starts answering.
-        let mut supervisor = None;
-        let quarantined: Arc<Vec<AtomicBool>>;
-        if let Some(sup_config) = config.supervisor.clone() {
-            let sup = Supervisor::start(sup_config, &config.cells, Arc::clone(&metrics))
-                .map_err(io::Error::other)?;
-            sup.wait_ready().map_err(io::Error::other)?;
-            quarantined = sup.quarantine_flags();
-            supervisor = Some(Arc::new(sup));
-        } else {
-            quarantined = Arc::new(
-                (0..config.cells.len())
-                    .map(|_| AtomicBool::new(false))
-                    .collect::<Vec<_>>(),
-            );
-        }
+        let (supervisor, quarantined) = match config.supervisor.clone() {
+            Some(sup_config) => {
+                let sup = Supervisor::start(sup_config, &config.cells, Arc::clone(&metrics))
+                    .map_err(io::Error::other)?;
+                sup.wait_ready().map_err(io::Error::other)?;
+                let flags = sup.quarantine_flags();
+                (Some(Arc::new(sup)), flags)
+            }
+            None => (
+                None,
+                Arc::new(
+                    config
+                        .cells
+                        .iter()
+                        .map(|_| AtomicBool::new(false))
+                        .collect(),
+                ),
+            ),
+        };
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let cells = config
             .cells
             .iter()
@@ -680,79 +496,23 @@ impl MqoRouter {
                     breaker: CircuitBreaker::new(config.breaker),
                     forwarded: AtomicU64::new(0),
                     failures: AtomicU64::new(0),
-                    warmups: AtomicU64::new(0),
                 })
             })
             .collect::<io::Result<Vec<Cell>>>()?;
-        let journal = Arc::new(FailoverJournal::new(cells.len(), JOURNAL_DEPTH));
         let fleet = Arc::new(Fleet {
             cells,
             io_timeout: Duration::from_millis(config.io_timeout_ms.max(1)),
-            exemplars: Mutex::new(VecDeque::new()),
             failover_rounds: config.failover_rounds,
             quarantined,
-            journal,
             response_cache: Lru::new(config.response_cache),
-            metrics: Arc::clone(&metrics),
+            supervisor,
+            metrics,
             lock_recoveries: AtomicU64::new(0),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (forward_tx, forward_rx) = mpsc::channel::<ForwardJob>();
-        let forward_rx = Arc::new(Mutex::new(forward_rx));
-        let mut forwarders = Vec::new();
-        for i in 0..FORWARDERS {
-            let fleet = Arc::clone(&fleet);
-            let forward_rx = Arc::clone(&forward_rx);
-            forwarders.push(
-                std::thread::Builder::new()
-                    .name(format!("mqo-forward-{i}"))
-                    .spawn(move || loop {
-                        // Pull one job under the lock, forward outside it.
-                        let job = {
-                            let rx = fleet_rx(&forward_rx, &fleet);
-                            match rx.recv() {
-                                Ok(job) => job,
-                                Err(_) => return,
-                            }
-                        };
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                fleet.forward(job.hash, &job.request, job.admitted)
-                            }))
-                            .unwrap_or_else(|_| {
-                                Response::reject(&Reject::InternalError {
-                                    detail: "forwarder panicked".to_string(),
-                                })
-                            });
-                        job.completer.complete(outcome);
-                    })?,
-            );
-        }
-
-        let handler = Arc::new(RouterHandler {
-            fleet: Arc::clone(&fleet),
-            forward_tx,
-            metrics: Arc::clone(&metrics),
-            shutdown: Arc::clone(&shutdown),
-            supervisor: supervisor.clone(),
-        });
-        let event_loop = EventLoop::spawn(
-            listener,
-            config.front,
-            handler,
-            Arc::clone(&metrics),
-            Arc::clone(&shutdown),
-        )?;
-
+        let server = Server::serve(&config.addr, fleet.clone(), queue, config.front)?;
         Ok(MqoRouter {
-            addr,
+            server,
             fleet,
-            metrics,
-            shutdown,
-            event_loop: Mutex::new(Some(event_loop)),
-            forwarders: Mutex::new(forwarders),
-            supervisor,
             supervisor_report: Mutex::new(Vec::new()),
         })
     }
@@ -760,17 +520,16 @@ impl MqoRouter {
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// The router's front-end metrics handle.
     #[must_use]
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        self.server.metrics()
     }
 
-    /// Per-cell health (breaker state, traffic, warm-ups, pool size,
-    /// quarantine, journal occupancy).
+    /// Per-cell health (breaker state, traffic, pool size, quarantine).
     #[must_use]
     pub fn cells(&self) -> Vec<CellSnapshot> {
         self.fleet.cell_snapshots()
@@ -779,7 +538,7 @@ impl MqoRouter {
     /// The fleet supervisor, when this router spawned its own cells.
     #[must_use]
     pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.as_ref()
+        self.fleet.supervisor.as_ref()
     }
 
     /// How the supervised cells went down; empty before [`MqoRouter::wait`]
@@ -789,53 +548,25 @@ impl MqoRouter {
         lock_recover(&self.supervisor_report, &self.fleet.lock_recoveries).clone()
     }
 
-    /// True once a shutdown has been requested.
-    #[must_use]
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until shutdown is requested, drains the event loop (every
-    /// in-flight forward is answered), joins the forwarder pool, then
-    /// drains the supervised cells.
+    /// Blocks until shutdown is requested, drains the server (every
+    /// admitted forward is answered), then drains the supervised cells.
     pub fn wait(&self) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if let Some(event_loop) = lock_recover(&self.event_loop, &self.fleet.lock_recoveries).take()
-        {
-            event_loop.wake();
-            event_loop.join();
-        }
-        // The event loop dropped the handler — and with it the forward
-        // sender — so the forwarders drain whatever is queued and exit.
-        let handles: Vec<JoinHandle<()>> =
-            lock_recover(&self.forwarders, &self.fleet.lock_recoveries)
-                .drain(..)
-                .collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-        if let Some(supervisor) = &self.supervisor {
-            let report = supervisor.shutdown();
-            *lock_recover(&self.supervisor_report, &self.fleet.lock_recoveries) = report;
-        }
+        self.server.wait();
+        self.drain_cells();
     }
 
     /// Requests a graceful shutdown and waits for the drain.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.wait();
+        self.server.shutdown();
+        self.drain_cells();
     }
-}
 
-/// Locks the shared forwarder receiver, recovering from poison via the
-/// fleet's recovery counter.
-fn fleet_rx<'a>(
-    rx: &'a Arc<Mutex<mpsc::Receiver<ForwardJob>>>,
-    fleet: &Fleet,
-) -> std::sync::MutexGuard<'a, mpsc::Receiver<ForwardJob>> {
-    lock_recover(rx, &fleet.lock_recoveries)
+    fn drain_cells(&self) {
+        if let Some(supervisor) = &self.fleet.supervisor {
+            let report = supervisor.shutdown();
+            *lock_recover(&self.supervisor_report, &self.fleet.lock_recoveries) = report;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -843,9 +574,10 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::http::{read_response, render_request, roundtrip};
-    use crate::server::{Server, ServerConfig};
+    use crate::server::ServerConfig;
     use mqo_chimera::graph::ChimeraGraph;
     use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
 
     fn cell_server() -> Server {
         let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
@@ -1150,15 +882,76 @@ mod tests {
     }
 
     #[test]
-    fn journal_bounds_outstanding_requests_per_shard() {
-        let journal = Arc::new(FailoverJournal::new(2, 2));
-        let a = journal.admit(0, 11).expect("first admitted");
-        let _b = journal.admit(0, 12).expect("second admitted");
-        assert!(journal.admit(0, 13).is_none(), "shard 0 at depth");
-        assert!(journal.admit(1, 14).is_some(), "shard 1 unaffected");
-        assert_eq!(journal.outstanding(0), 2);
-        drop(a);
-        assert_eq!(journal.outstanding(0), 1, "guard drop releases the slot");
-        assert!(journal.admit(0, 15).is_some(), "slot reusable");
+    fn full_admission_queue_answers_429_and_every_admitted_request_answers_once() {
+        // A black-hole cell: the kernel accepts connections on its backlog,
+        // nothing ever answers, so a forwarder blocks on it.
+        let black_hole = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut config = MqoRouterConfig::new(vec![black_hole.local_addr().unwrap().to_string()]);
+        config.io_timeout_ms = 5_000;
+        config.failover_rounds = 1;
+        let router = MqoRouter::serve(
+            config,
+            QueueConfig {
+                depth: 1,
+                workers: 1,
+                batch_size: 1,
+            },
+        )
+        .expect("bind router");
+        let addr = router.local_addr();
+        let send = |body: &[u8]| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            s.write_all(&render_request("POST", "/solve", "t", body, true))
+                .unwrap();
+            s
+        };
+        let wait_until = |ready: &dyn Fn() -> bool, what: &str| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !ready() {
+                assert!(Instant::now() < deadline, "timed out: {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // The first request occupies the single forwarder, the second
+        // fills the depth-1 queue, the third must be turned away.
+        let a = send(TINY_A);
+        wait_until(
+            &|| router.metrics().snapshot().batches_dispatched >= 1,
+            "the forwarder claims the first request",
+        );
+        let b = send(TINY_B);
+        wait_until(
+            &|| router.metrics().snapshot().queue_depth >= 1,
+            "the second request queues",
+        );
+        let rejected = read_response(&mut std::io::BufReader::new(send(TINY_A))).unwrap();
+        assert_eq!(rejected.status, 429);
+        assert_eq!(rejected.retry_after, Some(1), "429 advertises Retry-After");
+        let v: serde_json::Value = serde_json::from_slice(&rejected.body).unwrap();
+        assert_eq!(v["reason"], "queue_full");
+        assert_eq!(router.metrics().snapshot().rejected_queue_full, 1);
+
+        // Closing the black hole resets its connections: both admitted
+        // requests now get their one answer (no cell can take them), and
+        // nothing follows it on the wire.
+        drop(black_hole);
+        for held in [a, b] {
+            let mut reader = std::io::BufReader::new(held);
+            let answer = read_response(&mut reader).unwrap();
+            assert_eq!(
+                answer.status,
+                503,
+                "{}",
+                String::from_utf8_lossy(&answer.body)
+            );
+            assert!(answer.close);
+            let mut rest = Vec::new();
+            std::io::Read::read_to_end(&mut reader, &mut rest).unwrap();
+            assert!(rest.is_empty(), "exactly one answer per admitted request");
+        }
+        assert_eq!(router.metrics().snapshot().rejected_queue_full, 1);
+        router.shutdown();
     }
 }

@@ -3,8 +3,8 @@
 //! The router (PR 9) shards solves across `mqo_serve` *cells* but treats
 //! them as externally managed: a dead cell stays dead and only breaker
 //! fall-through hides it. This module closes the loop (DESIGN.md §14): the
-//! supervisor spawns every cell as a **child process** from a per-cell
-//! command template, watches it through two independent signals —
+//! supervisor spawns every cell as a **child process** from one command
+//! template, watches it through two independent signals —
 //!
 //! * **process exit** (`try_wait`): the child died, whatever the reason
 //!   (SIGKILL from the chaos schedule, OOM, a crash bug);
@@ -53,11 +53,10 @@ pub const STARTUP_TIMEOUT_MS: u64 = 30_000;
 /// [`Supervisor::start`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// One command template per cell (argv form, first element is the
-    /// program), index-aligned with the router's cell list. Every
-    /// occurrence of `{addr}` in any element is replaced by the cell's
-    /// address before spawning.
-    pub commands: Vec<Vec<String>>,
+    /// The command template every cell is spawned from (argv form, first
+    /// element is the program). Every occurrence of `{addr}` in any element
+    /// is replaced by the cell's address before spawning.
+    pub command: Vec<String>,
     /// Milliseconds between `/healthz` probes of a live cell.
     pub probe_interval_ms: u64,
     /// Probe connect/read deadline, milliseconds.
@@ -70,12 +69,12 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// A supervisor over `cells` cells, every cell spawned from the same
-    /// `command` template, with conservative defaults.
+    /// A supervisor spawning every cell from `command`, with conservative
+    /// defaults.
     #[must_use]
-    pub fn new(command: Vec<String>, cells: usize) -> Self {
+    pub fn new(command: Vec<String>) -> Self {
         SupervisorConfig {
-            commands: vec![command; cells],
+            command,
             probe_interval_ms: 200,
             probe_timeout_ms: 500,
             respawn: RespawnPolicy::default(),
@@ -83,20 +82,14 @@ impl SupervisorConfig {
         }
     }
 
-    /// Validates the template/cell pairing before any process is spawned.
+    /// Validates the template and the cell list before any process is
+    /// spawned.
     pub fn validate(&self, cells: &[String]) -> Result<(), String> {
         if cells.is_empty() {
             return Err("supervisor needs at least one cell".to_string());
         }
-        if self.commands.len() != cells.len() {
-            return Err(format!(
-                "supervisor has {} command templates for {} cells",
-                self.commands.len(),
-                cells.len()
-            ));
-        }
-        if let Some(idx) = self.commands.iter().position(Vec::is_empty) {
-            return Err(format!("cell {idx} has an empty command template"));
+        if self.command.is_empty() {
+            return Err("supervisor has an empty command template".to_string());
         }
         self.kill_schedule.validate().map_err(str::to_string)
     }
@@ -286,9 +279,8 @@ impl Supervisor {
         config.validate(cells)?;
         let cells: Vec<Mutex<CellProcess>> = cells
             .iter()
-            .zip(&config.commands)
-            .map(|(addr, command)| {
-                let mut cell = CellProcess::new(addr.clone(), command.clone());
+            .map(|addr| {
+                let mut cell = CellProcess::new(addr.clone(), config.command.clone());
                 spawn_cell(&mut cell);
                 Mutex::new(cell)
             })
@@ -682,24 +674,14 @@ mod tests {
     #[test]
     fn config_validation_catches_mismatches() {
         let cells = vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
-        let ok = SupervisorConfig::new(
-            vec!["mqo_serve".to_string(), ADDR_PLACEHOLDER.to_string()],
-            cells.len(),
-        );
+        let ok = SupervisorConfig::new(vec!["mqo_serve".to_string(), ADDR_PLACEHOLDER.to_string()]);
         assert!(ok.validate(&cells).is_ok());
-        assert_eq!(ok.commands.len(), 2, "template is replicated per cell");
-
-        let mut mismatched = ok.clone();
-        mismatched.commands.pop();
-        assert!(mismatched.validate(&cells).is_err());
 
         let mut empty_template = ok.clone();
-        empty_template.commands[1].clear();
+        empty_template.command.clear();
         assert!(empty_template.validate(&cells).is_err());
 
-        let mut no_cells = ok;
-        no_cells.commands.clear();
-        assert!(no_cells.validate(&[]).is_err());
+        assert!(ok.validate(&[]).is_err(), "no cells to supervise");
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn solo_server() -> Server {
 /// backoff so kills and recoveries play out in test time.
 fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
     let cells: Vec<String> = (0..n).map(|_| free_addr()).collect();
-    let mut sup = SupervisorConfig::new(cell_command(), cells.len());
+    let mut sup = SupervisorConfig::new(cell_command());
     sup.probe_interval_ms = 50;
     sup.probe_timeout_ms = 500;
     sup.respawn.backoff_initial_ms = 50;
@@ -350,15 +350,16 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
 
 #[test]
 fn crash_looping_cell_is_quarantined_and_its_shards_remap() {
-    // Cell 0 is spawned with a bogus flag, so it exits instantly, over and
-    // over: the supervisor must quarantine it instead of respawning
-    // forever, and the router must remap its shard range onto cell 1.
-    let cells = vec![free_addr(), free_addr()];
-    let mut sup = SupervisorConfig::new(cell_command(), cells.len());
-    sup.commands[0] = vec![
-        env!("CARGO_BIN_EXE_mqo_serve").to_string(),
-        "--definitely-not-a-flag".to_string(),
+    // Cell 0's address is already bound by a listener this test holds, so
+    // its `mqo_serve` fails to bind and exits instantly, over and over:
+    // the supervisor must quarantine it instead of respawning forever, and
+    // the router must remap its shard range onto cell 1.
+    let occupied = TcpListener::bind("127.0.0.1:0").expect("bind occupier");
+    let cells = vec![
+        occupied.local_addr().expect("occupied addr").to_string(),
+        free_addr(),
     ];
+    let mut sup = SupervisorConfig::new(cell_command());
     sup.respawn.backoff_initial_ms = 10;
     sup.respawn.backoff_max_ms = 50;
     sup.respawn.crash_loop_threshold = 3;
@@ -393,6 +394,7 @@ fn crash_looping_cell_is_quarantined_and_its_shards_remap() {
     );
     assert!(router.cells()[1].forwarded >= 2, "survivor took the remap");
     router.shutdown();
+    drop(occupied);
 }
 
 proptest! {

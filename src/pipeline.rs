@@ -462,37 +462,6 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         self.solve_with_embedding(problem, embedding, seed)
     }
 
-    /// Prepares the reusable half of a solve: the minor embedding of the
-    /// problem's interaction *structure*, independent of weights and of the
-    /// per-request seed.
-    ///
-    /// The embedding is computed deterministically from the structure hash
-    /// of the logical QUBO (TRIAD origin scan first, heuristic routing as
-    /// the fallback), so two structurally identical problems always prepare
-    /// the same embedding. A service layer can therefore cache the returned
-    /// embedding — keyed by
-    /// `(logical QUBO structure hash, graph fingerprint)` — and feed it back
-    /// through [`QuantumMqoSolver::solve_with_embedding`], which only
-    /// re-derives the weights (the cheap, per-request part of physical
-    /// mapping): a cache hit is bit-identical to a cold solve.
-    pub fn prepare_embedding(&self, problem: &MqoProblem) -> Result<Embedding, PipelineError> {
-        let logical = LogicalMapping::new(problem, self.epsilon);
-        let edges: Vec<_> = logical
-            .qubo()
-            .quadratic()
-            .iter()
-            .map(|&(a, b, _)| (a, b))
-            .collect();
-        let embedding = mqo_chimera::embedding::embed_structure(
-            &self.graph,
-            logical.qubo().num_vars(),
-            &edges,
-            logical.qubo().structure_hash(),
-            16,
-        )?;
-        Ok(embedding)
-    }
-
     /// Solves using the heuristic sparse minor embedder instead of a TRIAD
     /// clique: only the instance's *actual* interaction edges are routed, so
     /// sparse problems far beyond the clique capacity still fit on the chip
@@ -573,28 +542,6 @@ mod tests {
         assert!(!out.fallback);
         assert_eq!(out.chain_breaks.reads, 50);
         assert_eq!(out.chain_breaks.num_chains(), problem.num_plans());
-    }
-
-    #[test]
-    fn prepared_embeddings_are_structure_deterministic_and_reusable() {
-        let problem = paper_example();
-        let s = solver();
-        let e1 = s.prepare_embedding(&problem).unwrap();
-        assert_eq!(s.prepare_embedding(&problem).unwrap(), e1);
-        // Same structure with different weights prepares the same embedding.
-        let mut b = MqoProblem::builder();
-        let q1 = b.add_query(&[7.0, 1.0]);
-        let q2 = b.add_query(&[2.0, 9.0]);
-        let (p2, p3) = (b.plans_of(q1)[1], b.plans_of(q2)[0]);
-        b.add_saving(p2, p3, 1.0).unwrap();
-        let other = b.build().unwrap();
-        assert_eq!(s.prepare_embedding(&other).unwrap(), e1);
-        // Feeding the prepared embedding back is bit-identical to solve().
-        let cold = s.solve(&problem, 11).unwrap();
-        let warm = s.solve_with_embedding(&problem, e1, 11).unwrap();
-        assert_eq!(cold.best, warm.best);
-        assert_eq!(cold.trace.points(), warm.trace.points());
-        assert_eq!(cold.reads, warm.reads);
     }
 
     #[test]
